@@ -407,10 +407,37 @@ def _eta_draws(dgp: DgpSpec, n: int, rng: RngStream) -> np.ndarray:
         spec = term.spec
         sub = rng.child(j)
         if isinstance(spec, Categorical):
-            eta += spec.rows()[spec.sample(n, sub)] @ term.betas
+            eta += (spec.rows() @ term.betas)[spec.sample(n, sub)]
         else:
             eta += term.beta * spec.sample(n, sub)
     return eta
+
+
+class _FrozenDraws:
+    """E[g^-1(b0 + eta)] over a fixed eta sample, in two reused buffers.
+
+    Each evaluation writes b0 + eta into x and g^-1 of it into mu, so a solve
+    allocates its n_mc work arrays once. mu keeps the last evaluation, which
+    se() reuses when asked about the same b0.
+    """
+
+    def __init__(self, link: Link, eta: np.ndarray) -> None:
+        self.link = link
+        self.eta = eta
+        self.x = np.empty_like(eta)
+        self.mu = np.empty_like(eta)
+        self.at: Optional[float] = None
+
+    def mean(self, b0: float) -> float:
+        np.add(self.eta, b0, out=self.x)
+        self.link.invert(self.x, out=self.mu)
+        self.at = b0
+        return float(np.mean(self.mu))
+
+    def se(self, b0: float) -> float:
+        if self.at != b0:
+            self.mean(b0)
+        return float(self.mu.std(ddof=1) / math.sqrt(self.mu.size))
 
 
 def expectation_of_mean(
@@ -426,9 +453,8 @@ def expectation_of_mean(
         return float(probs @ np.atleast_1d(mu)), 0.0
     if rng is None:
         raise SpecError("the Monte Carlo engine needs an rng stream")
-    eta = _eta_draws(dgp, engine.n_mc, rng)
-    mu = dgp.link.invert(beta0 + eta)
-    return float(mu.mean()), float(mu.std(ddof=1) / math.sqrt(engine.n_mc))
+    draws = _FrozenDraws(dgp.link, _eta_draws(dgp, engine.n_mc, rng))
+    return draws.mean(beta0), draws.se(beta0)
 
 
 def solve_numeric(
@@ -444,7 +470,9 @@ def solve_numeric(
     residual is within tol (at most 200 iterations). g^-1 strictly increasing
     makes the objective monotone, so the bracketed root is unique. With the
     Monte Carlo engine the eta draws are frozen before bracketing, so every
-    evaluation sees the same sample.
+    evaluation sees the same sample; each evaluation reuses the same two n_mc
+    work buffers, and mc_se comes from the evaluation at the returned beta0
+    (the last one, unless the root is a bracket end).
     """
     if tol is None:
         tol = DEFAULT_TOL_MC if isinstance(engine, MonteCarlo) else DEFAULT_TOL_EXACT
@@ -455,11 +483,8 @@ def solve_numeric(
     if isinstance(engine, MonteCarlo):
         if rng is None:
             raise SpecError("the Monte Carlo engine needs an rng stream")
-        eta = _eta_draws(dgp, engine.n_mc, rng)
-
-        def expect(b0: float) -> float:
-            return float(np.mean(link.invert(b0 + eta)))
-
+        draws = _FrozenDraws(link, _eta_draws(dgp, engine.n_mc, rng))
+        expect = draws.mean
     else:
         etas, probs = _eta_support(dgp)
 
@@ -476,7 +501,7 @@ def solve_numeric(
         expansions += 1
         if expansions > MAX_EXPANSIONS:
             raise NoRootError(
-                f"no sign change within g(target) +/- {half / 2:g} "
+                f"no sign change within g(target) +/- {half:g} "
                 f"after {MAX_EXPANSIONS} bracket expansions"
             )
         half *= 2.0
@@ -507,8 +532,7 @@ def solve_numeric(
     warnings: set[str] = set()
     mc_se = 0.0
     if isinstance(engine, MonteCarlo):
-        mu = link.invert(beta0 + eta)
-        mc_se = float(mu.std(ddof=1) / math.sqrt(engine.n_mc))
+        mc_se = draws.se(beta0)
         if mc_se > tol / 4.0:
             warnings.add("mc_precision")
     return InterceptSolution(

@@ -18,8 +18,9 @@ from .errors import LinkDomainError, SpecError
 __all__ = ["Identity", "Log", "Logit", "Link", "link_by_name"]
 
 
-def _returning_like(x, out):
-    return float(out) if np.ndim(x) == 0 else out
+def _returning_like(x, result, out=None):
+    """A Python float for scalar or 0-d x, else the array (out, when passed)."""
+    return float(result) if out is None and np.ndim(x) == 0 else result
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,12 @@ class Identity:
     def apply(self, mu):
         return _returning_like(mu, np.asarray(mu, dtype=float))
 
-    def invert(self, eta):
-        return _returning_like(eta, np.asarray(eta, dtype=float))
+    def invert(self, eta, out=None):
+        e = np.asarray(eta, dtype=float)
+        if out is None:
+            return _returning_like(eta, e)
+        np.copyto(out, e)
+        return out
 
 
 @dataclass(frozen=True)
@@ -43,12 +48,12 @@ class Log:
             raise LinkDomainError("log link requires mu > 0")
         return _returning_like(mu, np.log(m))
 
-    def invert(self, eta):
+    def invert(self, eta, out=None):
         e = np.asarray(eta, dtype=float)
         # overflow to inf is the mathematically right answer for huge eta,
         # and the bracket expansion deliberately probes huge eta
         with np.errstate(over="ignore"):
-            return _returning_like(eta, np.exp(e))
+            return _returning_like(eta, np.exp(e, out=out), out)
 
 
 @dataclass(frozen=True)
@@ -61,16 +66,24 @@ class Logit:
             raise LinkDomainError("logit link requires 0 < mu < 1")
         return _returning_like(mu, np.log(m / (1.0 - m)))
 
-    def invert(self, eta):
-        e = np.atleast_1d(np.asarray(eta, dtype=float))
-        # branch form: never exponentiates a positive argument, so no overflow
-        # at the extreme eta probed during bracket expansion
-        out = np.empty_like(e)
-        pos = e >= 0.0
-        out[pos] = 1.0 / (1.0 + np.exp(-e[pos]))
-        ex = np.exp(e[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return float(out[0]) if np.ndim(eta) == 0 else out
+    def invert(self, eta, out=None):
+        e = np.asarray(eta, dtype=float)
+        # exp(min(e, 0)) / (1 + exp(-|e|)), computed in place. It equals the
+        # two-branch form bit for bit: for e >= 0 the numerator is exp(0) = 1,
+        # giving 1/(1+exp(-e)); for e < 0, -|e| is exactly e, giving
+        # exp(e)/(1+exp(e)). No masks, and no positive argument is ever
+        # exponentiated, so no overflow at the extreme eta probed during
+        # bracket expansion.
+        den = np.empty_like(e)
+        np.abs(e, out=den)
+        np.negative(den, out=den)
+        np.exp(den, out=den)
+        den += 1.0
+        res = np.empty_like(e) if out is None else out
+        np.minimum(e, 0.0, out=res)
+        np.exp(res, out=res)
+        res /= den
+        return _returning_like(eta, res, out)
 
 
 Link = Union[Identity, Log, Logit]

@@ -366,7 +366,7 @@ class TestSolveNumeric:
         dgp = DgpSpec(
             (Term("d", Bernoulli(1.0), 10.0),), Identity(), NormalOutcome(1.0), 5.0
         )
-        with pytest.raises(NoRootError):
+        with pytest.raises(NoRootError, match=r"\+/- 1 "):
             solve_numeric(dgp)
 
     def test_tol_validation(self):
@@ -396,6 +396,55 @@ class TestSolveNumeric:
             cat_dgp(), engine=MonteCarlo(100_000), tol=0.05, rng=RngStream(33)
         )
         assert "mc_precision" not in sol.warnings
+
+
+# InterceptSolution fields of the Monte Carlo numeric path, pinned as hex so
+# a speed-up of the evaluation loop must reproduce them bit for bit.
+_MC_PIN_DGPS = {
+    "logit_bernoulli_z": (Logit(), Term("z", Bernoulli(0.8), 2.0), 0.3),
+    "logit_normal_z": (Logit(), Term("z", Normal(0.0, 1.0), 1.5), 0.6),
+    "logit_gamma_z": (Logit(), Term("z", Gamma(1.0, 1.5), 1.0), 0.2),
+    "log_normal_z": (Log(), Term("z", Normal(0.0, 1.0), 1.0), 0.5),
+}
+_MC_PINS = {
+    "logit_bernoulli_z": ("-0x1.5054419c2aba6p+1", 13, "0x1.89c3ca4cc0821p-12"),
+    "logit_normal_z": ("0x1.10991f65fcc24p-1", 10, "0x1.b5c8883269fd7p-11"),
+    "logit_gamma_z": ("-0x1.1ab217f7d1cf8p+1", 10, "0x1.a0e1aae2d01e6p-12"),
+    "log_normal_z": ("-0x1.3ca217f7d1cf8p+0", 13, "0x1.0e71fbe8bb161p-9"),
+}
+
+
+def _pin_dgp(name):
+    link, z, target = _MC_PIN_DGPS[name]
+    outcome = BernoulliOutcome() if isinstance(link, Logit) else NormalOutcome(0.1)
+    return DgpSpec((CAT_TERM, z), link, outcome, target)
+
+
+class TestMonteCarloPins:
+    @pytest.mark.parametrize("name", sorted(_MC_PINS))
+    def test_solve_numeric_bits(self, name):
+        sol = solve_numeric(_pin_dgp(name), engine=MonteCarlo(100_000), rng=RngStream(20230620))
+        beta0, iterations, mc_se = _MC_PINS[name]
+        assert sol.beta0.hex() == beta0
+        assert sol.iterations == iterations
+        assert sol.mc_se.hex() == mc_se
+        assert sol.warnings == frozenset({"mc_precision"})
+
+    @pytest.mark.parametrize("tol", [1e-4, 0.5], ids=["bisected", "bracket_end"])
+    def test_mc_se_is_taken_at_beta0(self, tol):
+        # at tol 0.5 the root is the bracket's lower end, evaluated before hi
+        dgp = _pin_dgp("logit_normal_z")
+        sol = solve_numeric(dgp, engine=MonteCarlo(10_000), tol=tol, rng=RngStream(3))
+        assert (sol.iterations == 0) == (tol == 0.5)
+        _, se = expectation_of_mean(sol.beta0, dgp, MonteCarlo(10_000), RngStream(3))
+        assert sol.mc_se == se
+
+    def test_expectation_of_mean_bits(self):
+        value, se = expectation_of_mean(
+            -0.5, _pin_dgp("logit_normal_z"), MonteCarlo(100_000), RngStream(7)
+        )
+        assert value.hex() == "0x1.acf3ea26df315p-2"
+        assert se.hex() == "0x1.ba7bf4280776bp-11"
 
 
 @st.composite

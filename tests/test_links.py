@@ -120,6 +120,61 @@ class TestLogitSymmetry:
         assert abs(s - 1.0) <= 1e-12
 
 
+def _two_branch_logit_invert(eta):
+    """The earlier masked Logit.invert, kept as the bit-exact oracle."""
+    e = np.atleast_1d(np.asarray(eta, dtype=float))
+    out = np.empty_like(e)
+    pos = e >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-e[pos]))
+    ex = np.exp(e[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_LOGIT_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072009e-308, -1e-310, 800.0, -800.0]
+
+
+class TestLogitBranchFree:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=60))
+    def test_bit_identical_to_two_branch_form(self, values):
+        # the edge values guarantee both signs in every array
+        eta = np.array(values + _LOGIT_EDGES)
+        new = Logit().invert(eta)
+        old = _two_branch_logit_invert(eta)
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+        finite = ~np.isnan(old)
+        assert np.array_equal(new[finite].view(np.int64), old[finite].view(np.int64))
+
+    @pytest.mark.parametrize("eta", _LOGIT_EDGES + [-30.0, 36.7, -745.2])
+    def test_scalar_bit_identical(self, eta):
+        new = Logit().invert(eta)
+        old = float(_two_branch_logit_invert(eta)[0])
+        assert (math.isnan(new) and math.isnan(old)) or new.hex() == old.hex()
+
+
+class TestOutContract:
+    @pytest.mark.parametrize("link", LINKS, ids=lambda l: l.name)
+    def test_returns_out_and_leaves_input(self, link):
+        eta = np.array([-800.0, -2.5, -0.0, 0.0, 1.5, 800.0])
+        before = eta.copy()
+        out = np.full_like(eta, 7.0)
+        with np.errstate(over="ignore"):
+            result = link.invert(eta, out=out)
+            expected = link.invert(before)
+        assert result is out
+        assert np.array_equal(eta, before)
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("link", LINKS, ids=lambda l: l.name)
+    @pytest.mark.parametrize(
+        "eta", [0.25, np.float64(0.25), np.array(0.25)], ids=["float", "np.float64", "0-d"]
+    )
+    def test_scalar_and_0d_give_python_float(self, link, eta):
+        assert type(link.invert(eta)) is float
+
+
 class TestRegistry:
     def test_lookup(self):
         for name in ("identity", "log", "logit"):
