@@ -12,8 +12,6 @@ from .coding import (
     WeightedEffect,
     categorical_expectation,
     coding_by_name,
-    cross_levels,
-    encode,
 )
 from .datagen import Column, Dataset, generate
 from .distributions import (

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import MISSING, fields
 from typing import NamedTuple, Optional, Sequence
 
 import yaml
@@ -33,8 +34,6 @@ from .errors import ConfigError, Error
 from .harness import GridConfig, run_grid, summarize, write_csv
 from .intercept import (
     BernoulliOutcome,
-    DEFAULT_TOL_EXACT,
-    DEFAULT_TOL_MC,
     DgpSpec,
     Engine,
     ExactEnumeration,
@@ -44,6 +43,7 @@ from .intercept import (
     SOLVER_NAMES,
     Term,
     clamp_by_name,
+    default_tol,
     expectation_of_mean,
     solve,
 )
@@ -113,58 +113,40 @@ def load_config(path: str) -> dict:
 
 # ------------------------------------------------------------- distributions
 
-_DIST_PARAMS = {
-    "bernoulli": {"p"},
-    "uniform": {"a", "b"},
-    "normal": {"mu", "sigma"},
-    "gamma": {"shape", "rate"},
-    "cauchy": {"location", "scale"},
-    "categorical": {"probs", "coding"},
-}
+_DISTS = {cls.kind: cls for cls in (Bernoulli, UniformContinuous, Normal, Gamma, Cauchy, Categorical)}
 
 
 def _parse_dist(entry: dict, where: str, extra_keys: set[str]) -> CovariateSpec:
+    """A distribution from its kind and its dataclass fields.
+
+    Every field is a required number, except fields with a default (a
+    categorical's coding); a categorical's probs are a list.
+    """
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be a mapping")
-    kind = _str(entry.get("dist"), "dist", where) if "dist" in entry else None
-    if kind is None:
+    if "dist" not in entry:
         raise ConfigError(f"missing key 'dist' in {where}")
-    if kind not in _DIST_PARAMS:
+    kind = _str(entry["dist"], "dist", where)
+    if kind not in _DISTS:
         raise ConfigError(
-            f"unknown distribution '{kind}' in {where} (expected one of {sorted(_DIST_PARAMS)})"
+            f"unknown distribution '{kind}' in {where} (expected one of {sorted(_DISTS)})"
         )
-    params = _DIST_PARAMS[kind]
-    _check_keys(entry, {"dist"} | params | extra_keys, {"dist"} | (params - {"coding"}), where)
-    if kind == "bernoulli":
-        return Bernoulli(p=_num(entry["p"], "p", where))
-    if kind == "uniform":
-        return UniformContinuous(a=_num(entry["a"], "a", where), b=_num(entry["b"], "b", where))
-    if kind == "normal":
-        return Normal(mu=_num(entry["mu"], "mu", where), sigma=_num(entry["sigma"], "sigma", where))
-    if kind == "gamma":
-        return Gamma(shape=_num(entry["shape"], "shape", where), rate=_num(entry["rate"], "rate", where))
-    if kind == "cauchy":
-        return Cauchy(
-            location=_num(entry["location"], "location", where),
-            scale=_num(entry["scale"], "scale", where),
-        )
-    probs = tuple(_num_list(entry["probs"], "probs", where))
-    coding = coding_by_name(_str(entry.get("coding", "reference_cell"), "coding", where))
-    return Categorical(probs=probs, coding=coding)
+    cls = _DISTS[kind]
+    params = [f.name for f in fields(cls)]
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    _check_keys(entry, {"dist", *params} | extra_keys, {"dist"} | required, where)
+    if cls is Categorical:
+        probs = tuple(_num_list(entry["probs"], "probs", where))
+        coding = coding_by_name(_str(entry.get("coding", "reference_cell"), "coding", where))
+        return Categorical(probs=probs, coding=coding)
+    return cls(**{k: _num(entry[k], k, where) for k in params})
 
 
 def _dist_to_dict(spec: CovariateSpec) -> dict:
-    if isinstance(spec, Bernoulli):
-        return {"dist": "bernoulli", "p": spec.p}
-    if isinstance(spec, UniformContinuous):
-        return {"dist": "uniform", "a": spec.a, "b": spec.b}
-    if isinstance(spec, Normal):
-        return {"dist": "normal", "mu": spec.mu, "sigma": spec.sigma}
-    if isinstance(spec, Gamma):
-        return {"dist": "gamma", "shape": spec.shape, "rate": spec.rate}
-    if isinstance(spec, Cauchy):
-        return {"dist": "cauchy", "location": spec.location, "scale": spec.scale}
-    return {"dist": "categorical", "probs": list(spec.probs), "coding": spec.coding.name}
+    doc = {"dist": spec.kind, **{f.name: getattr(spec, f.name) for f in fields(spec)}}
+    if isinstance(spec, Categorical):
+        doc.update(probs=list(spec.probs), coding=spec.coding.name)
+    return doc
 
 
 def _parse_outcome(entry, where: str) -> OutcomeFamily:
@@ -197,9 +179,8 @@ def _parse_engine(doc: dict, where: str) -> Engine:
 
 
 def _parse_solver(doc: dict, where: str) -> str:
-    solver = _str(doc.get("solver"), "solver", where) if "solver" in doc else None
-    if solver is None:
-        raise ConfigError(f"missing key 'solver' in {where}")
+    # a required key: the caller's _check_keys has already seen it
+    solver = _str(doc["solver"], "solver", where)
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"unknown solver '{solver}' in {where} (expected one of {SOLVER_NAMES})")
     return solver
@@ -216,24 +197,6 @@ def _parse_tol(doc: dict, where: str) -> Optional[float]:
 
 # -------------------------------------------------------------- grid configs
 
-_GRID_KEYS = {
-    "name",
-    "link",
-    "outcome",
-    "exposure",
-    "covariate_axis",
-    "beta2_axis",
-    "target_axis",
-    "n",
-    "replicates",
-    "master_seed",
-    "solver",
-    "engine",
-    "n_mc",
-    "tol",
-    "workers",
-}
-
 _GRID_REQUIRED = {
     "name",
     "link",
@@ -247,6 +210,7 @@ _GRID_REQUIRED = {
     "master_seed",
     "solver",
 }
+_GRID_KEYS = _GRID_REQUIRED | {"engine", "n_mc", "tol", "workers"}
 
 
 def parse_grid_config(doc: dict) -> GridConfig:
@@ -321,19 +285,8 @@ def grid_config_to_dict(cfg: GridConfig) -> dict:
 
 # --------------------------------------------------------- single-DGP configs
 
-_DGP_KEYS = {
-    "link",
-    "target_mean",
-    "outcome",
-    "covariates",
-    "solver",
-    "engine",
-    "n_mc",
-    "tol",
-    "master_seed",
-}
-
 _DGP_REQUIRED = {"link", "target_mean", "outcome", "covariates", "solver"}
+_DGP_KEYS = _DGP_REQUIRED | {"engine", "n_mc", "tol", "master_seed"}
 
 
 class DgpDocument(NamedTuple):
@@ -428,12 +381,6 @@ def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
     return doc
 
 
-def _default_tol(tol: Optional[float], engine: Engine) -> float:
-    if tol is not None:
-        return tol
-    return DEFAULT_TOL_MC if isinstance(engine, MonteCarlo) else DEFAULT_TOL_EXACT
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     parsed = parse_dgp_config(_apply_overrides(load_config(args.config), args))
     rng = RngStream(parsed.master_seed).child(0)
@@ -460,7 +407,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["achieved_mean", "se", "gap"])
     w.writerow([repr(value), format(se, ".9g"), format(gap, ".9g")])
-    tol = _default_tol(parsed.tol, parsed.engine)
+    tol = default_tol(parsed.engine) if parsed.tol is None else parsed.tol
     if gap <= max(tol, 4.0 * se):
         return 0
     print(

@@ -23,9 +23,7 @@ __all__ = [
     "WeightedEffect",
     "CodingScheme",
     "coding_by_name",
-    "encode",
     "categorical_expectation",
-    "cross_levels",
 ]
 
 
@@ -98,18 +96,6 @@ def _check_levels(p: int) -> None:
         raise SpecError("a categorical needs at least one level")
 
 
-def encode(
-    scheme: CodingScheme,
-    level: int,
-    p: int,
-    probs: Sequence[float] | None = None,
-) -> np.ndarray:
-    """Encoded row (length p-1) for one level under the given scheme."""
-    if not 0 <= level < p:
-        raise IndexError(f"level {level} out of range for {p} levels")
-    return scheme.rows(p, probs)[level]
-
-
 def categorical_expectation(
     probs: Sequence[float],
     betas: Sequence[float],
@@ -129,17 +115,3 @@ def categorical_expectation(
         )
     etas = scheme.rows(pr.size, pr) @ b
     return float(sum(p_i * float(f(float(e))) for p_i, e in zip(pr, etas)))
-
-
-def cross_levels(spec_a, spec_b):
-    """Combine two independent categoricals into one over all level pairs.
-
-    Level (i, j) of the result has probability pi_a[i] * pi_b[j]; ordering is
-    row-major with A's level outermost. The result keeps A's coding scheme.
-    """
-    from .distributions import Categorical
-
-    if not isinstance(spec_a, Categorical) or not isinstance(spec_b, Categorical):
-        raise SpecError("cross_levels combines two categorical specifications")
-    combined = np.outer(np.asarray(spec_a.probs), np.asarray(spec_b.probs)).ravel()
-    return Categorical(probs=tuple(float(v) for v in combined), coding=spec_a.coding)

@@ -2,32 +2,23 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 
-from .distributions import Categorical, RngStream
+from .distributions import RngStream
 from .errors import OutOfRangeError, SpecError
-from .intercept import BernoulliOutcome, ClampToUnit, DgpSpec, NormalOutcome
+from .intercept import ClampToUnit, DgpSpec, NormalOutcome, draw_terms
 
 __all__ = ["Column", "Dataset", "generate"]
 
 
 @dataclass(frozen=True)
 class Column:
-    """One covariate: sampled values, plus the encoded block for categoricals.
-
-    values holds what was drawn (level indices for a categorical, reals
-    otherwise); encoded is the (n, p-1) design block a categorical contributes
-    to the linear predictor, None for continuous covariates.
-    """
+    """One covariate's draws: level indices for a categorical, reals otherwise."""
 
     name: str
     values: np.ndarray
-    encoded: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -39,25 +30,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return int(self.outcome.shape[0])
-
-    def to_csv(self, destination: Union[str, io.TextIOBase]) -> None:
-        """Header then n rows; categoricals as integer levels, outcome last.
-
-        RFC-4180 quoting, LF line endings regardless of platform.
-        """
-        if isinstance(destination, (str, bytes)):
-            with open(destination, "w", newline="") as f:
-                self.to_csv(f)
-            return
-        w = csv.writer(destination, lineterminator="\n")
-        w.writerow([c.name for c in self.columns] + ["y"])
-        for i in range(self.n):
-            row = [
-                int(c.values[i]) if c.values.dtype == np.int64 else repr(float(c.values[i]))
-                for c in self.columns
-            ]
-            row.append(repr(float(self.outcome[i])))
-            w.writerow(row)
 
 
 def generate(dgp: DgpSpec, beta0: float, n: int, rng: RngStream) -> Dataset:
@@ -78,18 +50,8 @@ def generate(dgp: DgpSpec, beta0: float, n: int, rng: RngStream) -> Dataset:
             "generate draws covariates independently; a joint sampler is not supported here"
         )
     eta = np.full(n, float(beta0))
-    columns = []
-    cov_rng = rng.child(0)
-    for j, term in enumerate(dgp.terms):
-        spec = term.spec
-        values = spec.sample(n, cov_rng.child(j))
-        if isinstance(spec, Categorical):
-            encoded = spec.rows()[values]
-            eta += encoded @ term.betas
-            columns.append(Column(term.name, values, encoded))
-        else:
-            eta += term.beta * values
-            columns.append(Column(term.name, values))
+    draws = draw_terms(dgp.terms, n, rng.child(0), eta)
+    columns = [Column(term.name, values) for term, values in zip(dgp.terms, draws)]
     mu = np.atleast_1d(dgp.link.invert(eta))
     out_rng = rng.child(1).generator()
     if isinstance(dgp.outcome, NormalOutcome):

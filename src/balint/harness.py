@@ -251,31 +251,26 @@ def _run_cell(cell: GridCell) -> GridRow:
         replicates=s.replicates,
         master_seed=s.master_seed,
     )
+
+    def unfinished(status: str, warning: str) -> GridRow:
+        return GridRow(
+            **common,
+            beta0=None,
+            achieved_mean=None,
+            bias=None,
+            bias_se=None,
+            clamp_rate=None,
+            status=status,
+            warnings=(warning,),
+        )
+
     try:
         r = run_scenario(s)
     except MgfDomainError:
         # the cell's exponential moment is infinite; recorded, not dropped
-        return GridRow(
-            **common,
-            beta0=None,
-            achieved_mean=None,
-            bias=None,
-            bias_se=None,
-            clamp_rate=None,
-            status="skipped",
-            warnings=("divergent_exp_moment",),
-        )
+        return unfinished("skipped", "divergent_exp_moment")
     except Error as e:
-        return GridRow(
-            **common,
-            beta0=None,
-            achieved_mean=None,
-            bias=None,
-            bias_se=None,
-            clamp_rate=None,
-            status="error",
-            warnings=(f"{type(e).__name__}: {e}",),
-        )
+        return unfinished("error", f"{type(e).__name__}: {e}")
     return GridRow(
         **common,
         beta0=r.beta0,
@@ -291,14 +286,16 @@ def _run_cell(cell: GridCell) -> GridRow:
 def run_grid(cfg: GridConfig, workers: Optional[int] = None) -> list[GridRow]:
     """Run every cell; rows come back in scenario-id order.
 
-    workers > 1 fans cells out over processes; the output is identical to the
-    sequential run because each cell's streams depend only on (master_seed,
-    scenario id) and aggregation follows the presorted cell order.
+    workers > 1 fans cells out over processes, never more than there are
+    cells; the output is identical to the sequential run because each cell's
+    streams depend only on (master_seed, scenario id) and aggregation follows
+    the presorted cell order.
     """
     cells = expand_grid(cfg)
     w = cfg.workers if workers is None else workers
     if w == 0:
         w = os.cpu_count() or 1
+    w = min(w, len(cells))
     if w <= 1:
         return [_run_cell(c) for c in cells]
     chunk = max(1, len(cells) // (4 * w))

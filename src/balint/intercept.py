@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .coding import categorical_expectation
 from .distributions import (
-    Bernoulli,
     Categorical,
     CovariateSpec,
     JointSampler,
@@ -41,6 +40,7 @@ from .distributions import (
 )
 from .errors import (
     EngineMismatchError,
+    InfeasibleError,
     LinkDomainError,
     MgfDomainError,
     NoMgfError,
@@ -60,6 +60,7 @@ __all__ = [
     "BernoulliOutcome",
     "OutcomeFamily",
     "Term",
+    "draw_terms",
     "DgpSpec",
     "ExactEnumeration",
     "MonteCarlo",
@@ -69,6 +70,7 @@ __all__ = [
     "solve_log_closed_form",
     "expectation_of_mean",
     "solve_numeric",
+    "default_tol",
     "solve",
     "SOLVER_NAMES",
 ]
@@ -162,6 +164,26 @@ class Term:
             return np.asarray(self.beta, dtype=float)
         return np.asarray([self.beta], dtype=float)
 
+    def eta(self, values: np.ndarray) -> np.ndarray:
+        """This term's share of the linear predictor at the given draws or support points."""
+        if isinstance(self.spec, Categorical):
+            return (self.spec.rows() @ self.betas)[values]
+        return self.beta * values
+
+
+def draw_terms(terms: Sequence[Term], n: int, rng: RngStream, eta: np.ndarray) -> list[np.ndarray]:
+    """Draw n values per term, term j from rng.child(j), adding each term's eta in place.
+
+    A term's draws depend only on its own substream, so adding a term never
+    perturbs the draws of earlier ones. Returns the draws in term order.
+    """
+    draws = []
+    for j, term in enumerate(terms):
+        values = term.spec.sample(n, rng.child(j))
+        eta += term.eta(values)
+        draws.append(values)
+    return draws
+
 
 @dataclass(frozen=True)
 class DgpSpec:
@@ -238,16 +260,20 @@ class InterceptSolution:
 
 
 def _exact_exp_moment(term: Term) -> float:
-    """E[exp(beta' X)] for one term by closed form; raises where none exists."""
+    """E[exp(beta' X)] for one term by closed form; raises where none exists or it overflows."""
     spec = term.spec
-    if isinstance(spec, Categorical):
-        return categorical_expectation(spec.probs, term.beta, spec.coding, math.exp)
     try:
-        return spec.mgf(term.beta)
-    except MgfDomainError as e:
-        raise MgfDomainError(f"term '{term.name}': {e}") from None
-    except NoMgfError as e:
-        raise NoMgfError(f"term '{term.name}': {e}") from None
+        if isinstance(spec, Categorical):
+            moment = categorical_expectation(spec.probs, term.beta, spec.coding, math.exp)
+        else:
+            moment = spec.mgf(term.beta)
+    except (MgfDomainError, NoMgfError) as e:
+        raise type(e)(f"term '{term.name}': {e}") from None
+    except OverflowError:
+        moment = math.inf
+    if moment == math.inf:
+        raise InfeasibleError(f"term '{term.name}': E[exp(beta' X)] overflows a double")
+    return moment
 
 
 def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
@@ -291,10 +317,11 @@ def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
             for term in dgp.terms:
                 total *= _exact_exp_moment(term)
             residual = abs(math.exp(beta0) * total - dgp.target_mean)
-        except MgfDomainError:
-            residual = math.inf
         except NoMgfError:
             warnings.add("residual_unverified")
+        except InfeasibleError:
+            # divergent or overflowing moment: the naive beta0 cannot be checked finite
+            residual = math.inf
     else:
         try:
             value, _ = expectation_of_mean(beta0, dgp, ExactEnumeration())
@@ -376,18 +403,13 @@ def _eta_support(dgp: DgpSpec) -> tuple[np.ndarray, np.ndarray]:
     etas = np.zeros(1)
     probs = np.ones(1)
     for term in dgp.terms:
-        spec = term.spec
-        if isinstance(spec, Categorical):
-            contrib = spec.rows() @ term.betas
-            pr = np.asarray(spec.probs)
-        elif isinstance(spec, Bernoulli):
-            values, pr = spec.support()
-            contrib = values * term.beta
-        else:
+        if not hasattr(term.spec, "support"):
             raise EngineMismatchError(
-                f"term '{term.name}' ({spec.kind}) is continuous; exact enumeration "
+                f"term '{term.name}' ({term.spec.kind}) is continuous; exact enumeration "
                 "needs finite supports"
             )
+        levels, pr = term.spec.support()
+        contrib = term.eta(levels)
         if etas.size * contrib.size > MAX_ENUM_SUPPORT:
             raise EngineMismatchError(
                 f"combined covariate support exceeds {MAX_ENUM_SUPPORT} points"
@@ -403,13 +425,7 @@ def _eta_draws(dgp: DgpSpec, n: int, rng: RngStream) -> np.ndarray:
         x = dgp.sampler.draw(n, rng)
         return x @ np.asarray(dgp.sampler_betas, dtype=float)
     eta = np.zeros(n)
-    for j, term in enumerate(dgp.terms):
-        spec = term.spec
-        sub = rng.child(j)
-        if isinstance(spec, Categorical):
-            eta += (spec.rows() @ term.betas)[spec.sample(n, sub)]
-        else:
-            eta += term.beta * spec.sample(n, sub)
+    draw_terms(dgp.terms, n, rng, eta)
     return eta
 
 
@@ -475,7 +491,7 @@ def solve_numeric(
     (the last one, unless the root is a bracket end).
     """
     if tol is None:
-        tol = DEFAULT_TOL_MC if isinstance(engine, MonteCarlo) else DEFAULT_TOL_EXACT
+        tol = default_tol(engine)
     if not tol > 0.0:
         raise SpecError(f"tol must be positive, got {tol}")
     target = dgp.target_mean
@@ -543,6 +559,11 @@ def solve_numeric(
         mc_se=mc_se,
         warnings=frozenset(warnings),
     )
+
+
+def default_tol(engine: Engine) -> float:
+    """The tolerance solve_numeric and verification use when none is given."""
+    return DEFAULT_TOL_MC if isinstance(engine, MonteCarlo) else DEFAULT_TOL_EXACT
 
 
 SOLVER_NAMES = ("linear_scale", "log_closed_form", "numeric")

@@ -165,6 +165,35 @@ class TestParseDgpConfig:
         again = parse_dgp_config(dgp_config_to_dict(parsed))
         assert again == parsed
 
+    def test_every_distribution_round_trips(self):
+        doc = yaml.safe_load(DGP_DOC)
+        doc["covariates"] = [
+            {"name": "b", "dist": "bernoulli", "p": 0.3, "beta": 0.5},
+            {"name": "u", "dist": "uniform", "a": -1.0, "b": 3.0, "beta": 0.2},
+            {"name": "n", "dist": "normal", "mu": 0.5, "sigma": 2.0, "beta": 0.1},
+            {"name": "g", "dist": "gamma", "shape": 2.0, "rate": 1.5, "beta": 0.4},
+            {"name": "c", "dist": "cauchy", "location": 0.0, "scale": 1.0, "beta": 0.0},
+            {
+                "name": "k",
+                "dist": "categorical",
+                "probs": [0.2, 0.8],
+                "coding": "effect",
+                "betas": [0.3],
+            },
+        ]
+        parsed = parse_dgp_config(doc)
+        assert [t.spec.kind for t in parsed.dgp.terms] == [
+            "bernoulli",
+            "uniform",
+            "normal",
+            "gamma",
+            "cauchy",
+            "categorical",
+        ]
+        # keys come back in the documented order: name, dist, parameters, coefficient
+        assert dgp_config_to_dict(parsed)["covariates"] == doc["covariates"]
+        assert parse_dgp_config(dgp_config_to_dict(parsed)) == parsed
+
 
 class TestParseGridConfig:
     def test_mini_grid(self):
@@ -287,6 +316,27 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "term 'g'" in err
 
+    @pytest.mark.parametrize(
+        "covariate",
+        [
+            "{name: c, dist: categorical, probs: [0.5, 0.5], betas: [800]}",
+            "{name: c, dist: normal, mu: 0.0, sigma: 1.0, beta: 40}",
+        ],
+        ids=["categorical", "normal"],
+    )
+    def test_overflowing_moment_exits_2(self, capsys, tmp_path, covariate):
+        path = tmp_path / "huge.yaml"
+        path.write_text(
+            "link: log\ntarget_mean: 0.5\n"
+            "outcome: {family: normal, sd: 0.1}\n"
+            f"covariates:\n  - {covariate}\n"
+            "solver: log_closed_form\n"
+        )
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "term 'c'" in err
+        assert "overflows" in err
+
     def test_zero_coefficients_numeric(self, capsys, tmp_path):
         path = tmp_path / "flat.yaml"
         path.write_text(
@@ -355,6 +405,27 @@ class TestSimulateCommand:
         main(["simulate", "--config", grid_config, "--out", str(b), "--workers", "2"])
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_overflowing_cells_become_error_rows(self, capsys, tmp_path):
+        doc = load_config(str(resources.files("balint") / "configs" / "fig1.yaml"))
+        doc.update(beta2_axis=[1.0, 40.0], n=50, replicates=2)
+        config = tmp_path / "fig1_wide.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert "9 failed" in capsys.readouterr().err
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 72
+        for r in rows:
+            if r["z_dist"] == "normal" and r["beta2"] == "40":
+                assert r["status"] == "error"
+                assert r["warnings"].startswith("InfeasibleError: scenario fig1/normal/40.0/")
+                assert "term 'z'" in r["warnings"]
+                assert r["beta0"] == ""
+            elif r["z_dist"] == "gamma" and r["beta2"] == "40":
+                assert r["status"] == "skipped"
+            else:
+                assert r["status"] == "ok"
 
     def test_replicate_and_seed_overrides_land_in_rows(self, capsys, grid_config, tmp_path):
         out = tmp_path / "o.csv"

@@ -13,8 +13,6 @@ from balint import (
     WeightedEffect,
     categorical_expectation,
     coding_by_name,
-    cross_levels,
-    encode,
 )
 
 PROBS = (0.5, 0.35, 0.15)
@@ -32,19 +30,13 @@ class TestEncode:
 
     def test_weighted_effect_reference_row(self):
         # row 0 is -pi_j/pi_0 for each non-reference level
-        row = encode(WeightedEffect(), 0, 3, PROBS)
+        row = WeightedEffect().rows(3, PROBS)[0]
         assert row == pytest.approx([-0.7, -0.3], rel=1e-14)
 
     def test_weighted_effect_nonreference_rows_match_reference_cell(self):
         w = WeightedEffect().rows(3, PROBS)
         r = ReferenceCell().rows(3)
         assert np.array_equal(w[1:], r[1:])
-
-    def test_level_out_of_range(self):
-        with pytest.raises(IndexError):
-            encode(ReferenceCell(), 3, 3)
-        with pytest.raises(IndexError):
-            encode(Effect(), -1, 3)
 
     def test_weighted_effect_requires_probs(self):
         with pytest.raises(SpecError):
@@ -123,36 +115,6 @@ class TestCategoricalExpectation:
         draws = np.exp(scheme.rows(p, probs)[lv] @ betas)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - exact) <= 4 * se
-
-
-class TestCrossLevels:
-    def test_fair_coins(self):
-        a = Categorical(probs=(0.5, 0.5))
-        b = Categorical(probs=(0.5, 0.5))
-        assert cross_levels(a, b).probs == (0.25, 0.25, 0.25, 0.25)
-
-    def test_row_major_order_and_marginals(self):
-        a = Categorical(probs=PROBS)
-        b = Categorical(probs=(0.8, 0.2))
-        c = cross_levels(a, b)
-        grid = np.asarray(c.probs).reshape(3, 2)
-        assert grid[0, 0] == pytest.approx(0.4, rel=1e-15)
-        assert np.allclose(grid.sum(axis=1), PROBS, atol=1e-15)
-        assert np.allclose(grid.sum(axis=0), [0.8, 0.2], atol=1e-15)
-
-    def test_keeps_first_operand_coding(self):
-        a = Categorical(probs=(0.5, 0.5), coding=Effect())
-        b = Categorical(probs=(0.3, 0.7), coding=WeightedEffect())
-        assert cross_levels(a, b).coding == Effect()
-
-    def test_degenerate_identity_element(self):
-        a = Categorical(probs=PROBS)
-        point = Categorical(probs=(1.0,))
-        assert cross_levels(a, point).probs == pytest.approx(PROBS, rel=1e-15)
-
-    def test_rejects_non_categorical(self):
-        with pytest.raises(SpecError):
-            cross_levels(Categorical(probs=(0.5, 0.5)), "coin")
 
 
 class TestRegistry:

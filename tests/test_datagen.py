@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 
 import numpy as np
@@ -19,7 +17,6 @@ from balint import (
     RngStream,
     SpecError,
     Term,
-    UniformContinuous,
     expectation_of_mean,
     generate,
     independent_sampler,
@@ -70,19 +67,10 @@ class TestColumns:
         ds = generate(log_dgp(), -0.74, 200, RngStream(2))
         col = ds.columns[0]
         assert col.values.dtype == np.int64
-        assert col.encoded.shape == (200, 2)
+        assert col.values.shape == (200,)
+        # the levels through the coding give, bit for bit, the eta generate added
         rows = Categorical(probs=PROBS).rows()
-        assert np.array_equal(col.encoded, rows[col.values])
-
-    def test_continuous_column_has_no_encoding(self):
-        dgp = DgpSpec(
-            (Term("u", UniformContinuous(-1.0, 3.0), 0.2),),
-            Identity(),
-            NormalOutcome(1.0),
-            0.0,
-        )
-        ds = generate(dgp, 0.0, 50, RngStream(3))
-        assert ds.columns[0].encoded is None
+        assert CAT_TERM.eta(col.values).tobytes() == (rows[col.values] @ CAT_TERM.betas).tobytes()
 
 
 class TestOutcome:
@@ -173,52 +161,6 @@ class TestValidation:
         )
         with pytest.raises(SpecError):
             generate(dgp, -1.0, 100, RngStream(0))
-
-
-class TestCsvExport:
-    def _dataset(self):
-        dgp = log_dgp(extra=(Term("z", Normal(0.0, 1.0), 1.0),))
-        return generate(dgp, -1.24, 20, RngStream(13))
-
-    def test_header_and_row_count(self):
-        buf = io.StringIO()
-        self._dataset().to_csv(buf)
-        lines = buf.getvalue().split("\n")
-        assert lines[0] == "x,z,y"
-        assert lines[-1] == ""  # trailing newline, nothing after
-        assert len(lines) == 22
-
-    def test_lf_endings_and_levels_as_integers(self):
-        buf = io.StringIO()
-        self._dataset().to_csv(buf)
-        text = buf.getvalue()
-        assert "\r" not in text
-        first = text.split("\n")[1].split(",")
-        assert first[0] in {"0", "1", "2"}
-
-    def test_floats_round_trip_exactly(self):
-        ds = self._dataset()
-        buf = io.StringIO()
-        ds.to_csv(buf)
-        buf.seek(0)
-        rows = list(csv.reader(buf))
-        parsed = np.array([float(r[-1]) for r in rows[1:]])
-        assert np.array_equal(parsed, ds.outcome)
-
-    def test_file_destination(self, tmp_path):
-        path = tmp_path / "data.csv"
-        self._dataset().to_csv(str(path))
-        content = path.read_bytes()
-        assert content.startswith(b"x,z,y\n")
-        assert b"\r" not in content
-
-    def test_awkward_column_name_quoted(self):
-        dgp = DgpSpec(
-            (Term("a,b", Bernoulli(0.5), 1.0),), Identity(), NormalOutcome(1.0), 0.0
-        )
-        buf = io.StringIO()
-        generate(dgp, 0.0, 3, RngStream(14)).to_csv(buf)
-        assert buf.getvalue().startswith('"a,b",y\n')
 
 
 class TestGrandMeanUnbiased:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import balint.harness as harness_mod
 from balint import (
     Bernoulli,
     BernoulliOutcome,
@@ -207,6 +208,38 @@ class TestRunGrid:
             write_csv(run_grid(cfg, workers=w), buf)
             buffers.append(buf.getvalue())
         assert buffers[0] == buffers[1]
+
+    @pytest.mark.parametrize("workers,expected", [(500, 4), (2, 2)])
+    def test_pool_never_exceeds_cell_count(self, monkeypatch, workers, expected):
+        # a stand-in pool: records its size, maps in-process, starts nothing
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_grid(beta2_axis=(1.0,), workers=workers)
+        rows = run_grid(cfg)
+        assert sizes == [expected]
+        assert rows == run_grid(cfg, workers=1)
+
+    def test_single_cell_grid_runs_in_process(self, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("a one-cell grid must not start a pool")
+
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_pool)
+        cfg = small_grid(z_axis=(("z", Bernoulli(0.8)),), beta2_axis=(1.0,), target_axis=(0.5,))
+        assert [r.status for r in run_grid(cfg, workers=8)] == ["ok"]
 
     def test_bernoulli_outcome_bias_grows_with_target_once_clamped(self):
         cfg = small_grid(

@@ -16,6 +16,7 @@ from balint import (
     ExactEnumeration,
     Gamma,
     Identity,
+    InfeasibleError,
     LinkDomainError,
     Log,
     Logit,
@@ -27,6 +28,7 @@ from balint import (
     NormalOutcome,
     ReferenceCell,
     RngStream,
+    WeightedEffect,
     SpecError,
     Term,
     UndefinedMomentError,
@@ -166,6 +168,16 @@ class TestLinearScale:
         assert sol.residual == math.inf
         assert "naive_linear_scale" in sol.warnings
 
+    @pytest.mark.parametrize(
+        "term",
+        [Term("k", Categorical(probs=(0.5, 0.5)), (800.0,)), Term("k", Normal(0.0, 1.0), 40.0)],
+        ids=["categorical", "normal"],
+    )
+    def test_log_overflowing_moment_residual_inf(self, term):
+        sol = solve_linear_scale(DgpSpec((term,), Log(), NormalOutcome(0.1), 0.5))
+        assert sol.residual == math.inf
+        assert sol.warnings == frozenset({"naive_linear_scale"})
+
     def test_cauchy_mean_undefined(self):
         dgp = DgpSpec(
             (Term("c", Cauchy(0.0, 1.0), 0.5),), Identity(), NormalOutcome(1.0), 0.0
@@ -193,6 +205,23 @@ class TestLogClosedForm:
         dgp = cat_dgp(extra=(Term("z", Normal(0.0, 1.0), 1.0),))
         sol = solve_log_closed_form(dgp)
         assert sol.beta0 == pytest.approx(LOG_BETA0_WITH_Z, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            Term("k", Categorical(probs=(0.5, 0.5)), (800.0,)),
+            Term("k", Normal(0.0, 1.0), 40.0),
+            Term("k", Bernoulli(0.5), 710.0),
+            Term("k", UniformContinuous(0.0, 1.0), 800.0),
+        ],
+        ids=["categorical", "normal", "bernoulli", "uniform"],
+    )
+    def test_overflowing_moment_is_infeasible_and_named(self, term):
+        dgp = DgpSpec((term,), Log(), NormalOutcome(0.1), 0.5)
+        with pytest.raises(InfeasibleError, match="term 'k'.*overflows") as exc:
+            solve_log_closed_form(dgp)
+        # not a divergent MGF: a grid records this cell as an error, not as skipped
+        assert not isinstance(exc.value, MgfDomainError)
 
     def test_no_covariates_gives_log_target(self):
         sol = solve_log_closed_form(DgpSpec((), Log(), NormalOutcome(0.1), 0.5))
@@ -520,3 +549,34 @@ class TestUniformTermRoundTrip:
         )
         se = 4e-3  # generous; the draw s.e. is ~1e-3 at this size
         assert abs(value - 0.5) < se
+
+
+class TestTermContributions:
+    @pytest.mark.parametrize(
+        "coding", [ReferenceCell(), Effect(), WeightedEffect()], ids=lambda c: c.name
+    )
+    def test_categorical_gather_equals_encoded_matmul(self, coding):
+        spec = Categorical(probs=(0.1, 0.2, 0.3, 0.25, 0.15), coding=coding)
+        term = Term("k", spec, (0.3, -0.7, 0.45, 1.1))
+        levels = spec.sample(5000, RngStream(3))
+        encoded = spec.rows()[levels] @ term.betas
+        assert term.eta(levels).tobytes() == encoded.tobytes()
+
+    def test_continuous_contribution_is_beta_times_value(self):
+        values = np.array([-1.5, 0.0, 2.25])
+        assert Term("z", Normal(0.0, 1.0), 2.0).eta(values).tolist() == [-3.0, 0.0, 4.5]
+
+    def test_draw_terms_adds_in_place_from_substreams(self):
+        terms = (CAT_TERM, Term("z", Normal(0.0, 1.0), 0.5), Term("d", Bernoulli(0.3), -1.0))
+        rng = RngStream(8, (2,))
+        eta = np.full(400, 0.25)
+        draws = intercept_mod.draw_terms(terms, 400, rng, eta)
+        expected = np.full(400, 0.25)
+        for j, (term, values) in enumerate(zip(terms, draws)):
+            assert np.array_equal(values, term.spec.sample(400, rng.child(j)))
+            expected += term.eta(values)
+        assert eta.tobytes() == expected.tobytes()
+
+    def test_default_tol_follows_engine(self):
+        assert intercept_mod.default_tol(ExactEnumeration()) == intercept_mod.DEFAULT_TOL_EXACT
+        assert intercept_mod.default_tol(MonteCarlo(10)) == intercept_mod.DEFAULT_TOL_MC
