@@ -55,7 +55,8 @@ def generate(dgp: DgpSpec, beta0: float, n: int, rng: RngStream) -> Dataset:
     mu = np.atleast_1d(dgp.link.invert(eta))
     out_rng = rng.child(1).generator()
     if isinstance(dgp.outcome, NormalOutcome):
-        y = out_rng.normal(mu, dgp.outcome.sd)
+        # numpy's normal(loc, scale) is loc + scale * z, z from the same stream
+        y = out_rng.standard_normal(n) * dgp.outcome.sd + mu
         clamp_count = 0
     else:
         if isinstance(dgp.outcome.clamp, ClampToUnit):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -164,10 +165,15 @@ class Term:
             return np.asarray(self.beta, dtype=float)
         return np.asarray([self.beta], dtype=float)
 
+    @cached_property
+    def _level_eta(self) -> np.ndarray:
+        """A categorical's contribution per level, rows() @ betas, built once per term."""
+        return self.spec.rows() @ self.betas
+
     def eta(self, values: np.ndarray) -> np.ndarray:
         """This term's share of the linear predictor at the given draws or support points."""
         if isinstance(self.spec, Categorical):
-            return (self.spec.rows() @ self.betas)[values]
+            return self._level_eta[values]
         return self.beta * values
 
 
@@ -259,20 +265,29 @@ class InterceptSolution:
     warnings: frozenset[str] = frozenset()
 
 
-def _exact_exp_moment(term: Term) -> float:
-    """E[exp(beta' X)] for one term by closed form; raises where none exists or it overflows."""
+def _exp_moment(term: Term) -> float:
+    """E[exp(beta' X)] for one term by closed form, inf where it overflows a double.
+
+    A moment that underflows comes back as 0.0; raises where none exists.
+    """
     spec = term.spec
     try:
         if isinstance(spec, Categorical):
-            moment = categorical_expectation(spec.probs, term.beta, spec.coding, math.exp)
-        else:
-            moment = spec.mgf(term.beta)
+            return categorical_expectation(spec.probs, term.beta, spec.coding, math.exp)
+        return spec.mgf(term.beta)
     except (MgfDomainError, NoMgfError) as e:
         raise type(e)(f"term '{term.name}': {e}") from None
     except OverflowError:
-        moment = math.inf
+        return math.inf
+
+
+def _exact_exp_moment(term: Term) -> float:
+    """E[exp(beta' X)] for one term; raises where none exists or it is not a positive double."""
+    moment = _exp_moment(term)
     if moment == math.inf:
         raise InfeasibleError(f"term '{term.name}': E[exp(beta' X)] overflows a double")
+    if moment == 0.0:
+        raise InfeasibleError(f"term '{term.name}': E[exp(beta' X)] underflows to 0 in a double")
     return moment
 
 
@@ -313,15 +328,23 @@ def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
     residual = math.nan
     if isinstance(dgp.link, Log):
         try:
-            total = 1.0
-            for term in dgp.terms:
-                total *= _exact_exp_moment(term)
-            residual = abs(math.exp(beta0) * total - dgp.target_mean)
+            moments = [_exp_moment(term) for term in dgp.terms]
         except NoMgfError:
             warnings.add("residual_unverified")
-        except InfeasibleError:
-            # divergent or overflowing moment: the naive beta0 cannot be checked finite
-            residual = math.inf
+        except MgfDomainError:
+            residual = math.inf  # a divergent moment
+        else:
+            if 0.0 in moments:
+                # an underflowed moment leaves the product unknown
+                warnings.add("residual_unverified")
+            else:
+                # in logs, so that exp(beta0) > ~709 cannot overflow a finite
+                # product; an overflowing moment or product gives inf
+                ln_total = sum(math.log(m) for m in moments)
+                try:
+                    residual = abs(math.exp(beta0 + ln_total) - dgp.target_mean)
+                except OverflowError:
+                    residual = math.inf
     else:
         try:
             value, _ = expectation_of_mean(beta0, dgp, ExactEnumeration())

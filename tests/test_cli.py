@@ -337,6 +337,45 @@ class TestSolveCommand:
         assert "term 'c'" in err
         assert "overflows" in err
 
+    @pytest.mark.parametrize(
+        "covariate",
+        [
+            "{name: c, dist: categorical, probs: [0.0, 1.0], betas: [-800]}",
+            "{name: c, dist: normal, mu: -800.0, sigma: 1.0, beta: 1.0}",
+        ],
+        ids=["categorical", "normal"],
+    )
+    @pytest.mark.parametrize("engine", ["exact", "mc"])
+    def test_underflowing_moment_exits_2(self, capsys, tmp_path, covariate, engine):
+        path = tmp_path / "tiny.yaml"
+        path.write_text(
+            "link: log\ntarget_mean: 0.5\n"
+            "outcome: {family: normal, sd: 0.1}\n"
+            f"covariates:\n  - {covariate}\n"
+            "solver: log_closed_form\n"
+        )
+        assert main(["solve", "--config", str(path), "--engine", engine, "--n-mc", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert "term 'c'" in err
+        assert "underflows" in err
+
+    @pytest.mark.parametrize(
+        "mu, target, residual",
+        [("-700.0", "1000000.0", "648721.271"), ("-800.0", "0.5", "nan")],
+        ids=["exp_beta0_overflows", "moment_underflows"],
+    )
+    def test_linear_scale_beyond_exp_range_exits_0(self, capsys, tmp_path, mu, target, residual):
+        path = tmp_path / "far.yaml"
+        path.write_text(
+            f"link: log\ntarget_mean: {target}\n"
+            "outcome: {family: normal, sd: 0.1}\n"
+            f"covariates:\n  - {{name: z, dist: normal, mu: {mu}, sigma: 1.0, beta: 1.0}}\n"
+            "solver: linear_scale\n"
+        )
+        row = solve_row(capsys, ["solve", "--config", str(path)])
+        assert float(row["beta0"]) > 709.0
+        assert row["residual"] == residual
+
     def test_zero_coefficients_numeric(self, capsys, tmp_path):
         path = tmp_path / "flat.yaml"
         path.write_text(

@@ -17,6 +17,7 @@ from balint import (
     RngStream,
     SpecError,
     Term,
+    UniformContinuous,
     expectation_of_mean,
     generate,
     independent_sampler,
@@ -101,6 +102,33 @@ class TestOutcome:
         assert ds.clamp_count == 0
         se = ds.outcome.std(ddof=1) / math.sqrt(ds.n)
         assert abs(ds.outcome.mean() - 0.3) <= 4 * se
+
+
+class TestNormalOutcomeKernel:
+    """The outcome is standard_normal(n) * sd + mu; numpy's normal(mu, sd) is the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, 10_007])
+    @pytest.mark.parametrize("sd", [1e-3, 0.37, 1.0, 1e3])
+    @pytest.mark.parametrize("beta0", [-1e5, 0.0, 1e5])
+    def test_equals_generator_normal_bitwise(self, n, sd, beta0):
+        # identity link: mu = beta0 + x, x uniform on [-1e5, 1e5]
+        term = Term("x", UniformContinuous(-1e5, 1e5), 1.0)
+        dgp = DgpSpec((term,), Identity(), NormalOutcome(sd), 0.0)
+        rng = RngStream(31, (n,))
+        ds = generate(dgp, beta0, n, rng)
+        mu = beta0 + term.eta(term.spec.sample(n, rng.child(0).child(0)))
+        expected = rng.child(1).generator().normal(mu, sd)
+        assert ds.outcome.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_log_link_categorical_equals_generator_normal_bitwise(self):
+        dgp = log_dgp(extra=(Term("z", Normal(0.0, 1.0), 1.0),))
+        rng = RngStream(32)
+        ds = generate(dgp, -1.24, 5000, rng)
+        eta = np.full(5000, -1.24)
+        for term, col in zip(dgp.terms, ds.columns):
+            eta += term.eta(col.values)
+        expected = rng.child(1).generator().normal(np.exp(eta), 0.1)
+        assert ds.outcome.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 class TestClamping:

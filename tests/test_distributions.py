@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from balint import (
     Bernoulli,
@@ -138,6 +138,71 @@ class TestSampling:
     def test_invalid_parameters_rejected(self, build):
         with pytest.raises(SpecError):
             build()
+
+
+def searchsorted_levels(probs, u):
+    """The binary-search form Categorical.sample replaced, kept as its oracle."""
+    cum = np.cumsum(np.asarray(probs))
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(probs) - 1).astype(np.int64)
+
+
+class _FixedUniforms:
+    """Stands in for an RngStream whose generator's random(n) returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def generator(self):
+        return self
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+@st.composite
+def level_probs(draw):
+    """1 to 12 level probabilities, some zero (first, middle, last), some short of 1."""
+    p = draw(st.integers(1, 12))
+    w = np.array(draw(st.lists(st.integers(0, 1000), min_size=p, max_size=p)), dtype=float)
+    for i in draw(st.sets(st.sampled_from([0, p // 2, p - 1]))):
+        w[i] = 0.0
+    assume(w.sum() > 0.0)
+    probs = w / w.sum()
+    # up to 2^-40 (9.1e-13) short of 1, inside the 1e-12 the constructor allows,
+    # so that the cumsum tops out below 1.0
+    probs *= 1.0 - draw(st.sampled_from([0.0, 2.0**-52, 2.0**-40]))
+    return tuple(float(v) for v in probs)
+
+
+class TestCategoricalThresholdCount:
+    @given(
+        probs=level_probs(),
+        n=st.integers(1, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(probs=(0.1,) * 10, n=1000, seed=0)  # cumsum ends at 0.9999999999999999
+    @settings(max_examples=300, deadline=None)
+    def test_equals_searchsorted_on_the_same_stream(self, probs, n, seed):
+        lv = Categorical(probs=probs).sample(n, RngStream(seed))
+        expected = searchsorted_levels(probs, RngStream(seed).generator().random(n))
+        assert lv.dtype == np.int64
+        assert lv.min() >= 0 and lv.max() <= len(probs) - 1
+        assert np.array_equal(lv, expected)
+
+    @given(probs=level_probs(), extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    @example(probs=(0.1,) * 10, extra=[])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_searchsorted_at_the_thresholds(self, probs, extra):
+        # uniforms on, just below and just above every cumsum entry, plus the
+        # ends of [0, 1): the top of the cumsum and the gap above it included
+        cum = np.cumsum(np.asarray(probs))
+        edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges[edges < 1.0], extra])
+        lv = Categorical(probs=probs).sample(u.size, _FixedUniforms(u))
+        assert lv.dtype == np.int64
+        assert lv.min() >= 0 and lv.max() <= len(probs) - 1
+        assert np.array_equal(lv, searchsorted_levels(probs, u))
 
 
 class TestMean:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -178,6 +179,31 @@ class TestLinearScale:
         assert sol.residual == math.inf
         assert sol.warnings == frozenset({"naive_linear_scale"})
 
+    def test_log_residual_survives_exp_beta0_overflow(self):
+        # beta0 = log(1e6) + 700 > 709.78, so exp(beta0) alone overflows a
+        # double; the naive mean is 1e6 * e^0.5, finite
+        dgp = DgpSpec((Term("z", Normal(-700.0, 1.0), 1.0),), Log(), NormalOutcome(0.1), 1e6)
+        sol = solve_linear_scale(dgp)
+        assert sol.beta0 > 709.8
+        assert sol.residual == pytest.approx(1e6 * (math.exp(0.5) - 1.0), rel=1e-9)
+        assert sol.warnings == frozenset({"naive_linear_scale"})
+
+    def test_log_residual_overflow_is_inf(self):
+        # beta0 = log(1e304) + 20 and the naive mean 1e304 * e^12.5 overflows
+        dgp = DgpSpec((Term("z", Normal(-20.0, 5.0), 1.0),), Log(), NormalOutcome(0.1), 1e304)
+        sol = solve_linear_scale(dgp)
+        assert sol.beta0 > 709.8
+        assert sol.residual == math.inf
+        assert sol.warnings == frozenset({"naive_linear_scale"})
+
+    def test_log_underflowing_moment_residual_unverified(self):
+        # E[exp(Z)] = e^-799.5 underflows to 0, so the product cannot be checked
+        dgp = DgpSpec((Term("z", Normal(-800.0, 1.0), 1.0),), Log(), NormalOutcome(0.1), 0.5)
+        sol = solve_linear_scale(dgp)
+        assert sol.beta0 == pytest.approx(math.log(0.5) + 800.0, abs=1e-12)
+        assert math.isnan(sol.residual)
+        assert sol.warnings == frozenset({"naive_linear_scale", "residual_unverified"})
+
     def test_cauchy_mean_undefined(self):
         dgp = DgpSpec(
             (Term("c", Cauchy(0.0, 1.0), 0.5),), Identity(), NormalOutcome(1.0), 0.0
@@ -221,6 +247,24 @@ class TestLogClosedForm:
         with pytest.raises(InfeasibleError, match="term 'k'.*overflows") as exc:
             solve_log_closed_form(dgp)
         # not a divergent MGF: a grid records this cell as an error, not as skipped
+        assert not isinstance(exc.value, MgfDomainError)
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            Term("k", Categorical(probs=(0.0, 1.0)), (-800.0,)),
+            Term("k", Normal(-800.0, 1.0), 1.0),
+            Term("k", Bernoulli(1.0), -800.0),
+            Term("k", UniformContinuous(-1000.0, -900.0), 1.0),
+            Term("k", Gamma(2.0, 1.0), -1e200),
+        ],
+        ids=["categorical", "normal", "bernoulli", "uniform", "gamma"],
+    )
+    @pytest.mark.parametrize("engine", [ExactEnumeration(), MonteCarlo(1000)], ids=["exact", "mc"])
+    def test_underflowing_moment_is_infeasible_and_named(self, term, engine):
+        dgp = DgpSpec((term,), Log(), NormalOutcome(0.1), 0.5)
+        with pytest.raises(InfeasibleError, match="term 'k'.*underflows") as exc:
+            solve_log_closed_form(dgp, engine, RngStream(1))
         assert not isinstance(exc.value, MgfDomainError)
 
     def test_no_covariates_gives_log_target(self):
@@ -561,6 +605,36 @@ class TestTermContributions:
         levels = spec.sample(5000, RngStream(3))
         encoded = spec.rows()[levels] @ term.betas
         assert term.eta(levels).tobytes() == encoded.tobytes()
+
+    def test_categorical_builds_its_coding_rows_once(self, monkeypatch):
+        calls = []
+        rows = Effect.rows
+
+        def counting_rows(self, p, probs=None):
+            calls.append(p)
+            return rows(self, p, probs)
+
+        monkeypatch.setattr(Effect, "rows", counting_rows)
+        spec = Categorical(probs=(0.2, 0.3, 0.5), coding=Effect())
+        term = Term("k", spec, (0.4, -0.6))
+        dgp = DgpSpec((term,), Log(), NormalOutcome(0.1), 0.5)
+        levels = np.array([0, 1, 2, 2, 0])
+        first = term.eta(levels)
+        for _ in range(4):
+            assert term.eta(levels).tobytes() == first.tobytes()
+        for k in range(3):
+            intercept_mod.draw_terms(dgp.terms, 100, RngStream(5, (k,)), np.zeros(100))
+        assert calls == [3]
+        assert first.tobytes() == (rows(Effect(), 3, spec.probs)[levels] @ term.betas).tobytes()
+
+    def test_cached_level_etas_keep_equality_and_pickling(self):
+        fresh = Term("k", Categorical(probs=(0.2, 0.3, 0.5)), (0.4, -0.6))
+        used = Term("k", Categorical(probs=(0.2, 0.3, 0.5)), (0.4, -0.6))
+        used.eta(np.arange(3))
+        assert used == fresh and hash(used) == hash(fresh)
+        clone = pickle.loads(pickle.dumps(used))
+        assert clone == fresh
+        assert clone.eta(np.arange(3)).tobytes() == fresh.eta(np.arange(3)).tobytes()
 
     def test_continuous_contribution_is_beta_times_value(self):
         values = np.array([-1.5, 0.0, 2.25])
