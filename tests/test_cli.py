@@ -359,6 +359,22 @@ class TestSolveCommand:
         assert "term 'c'" in err
         assert "underflows" in err
 
+    def test_underflowing_mc_fallback_exits_2(self, capsys, tmp_path):
+        # a Cauchy term has no MGF, so the closed form estimates its moment by
+        # Monte Carlo; far to the left every exp(x) underflows to 0
+        path = tmp_path / "far_cauchy.yaml"
+        path.write_text(
+            "link: log\ntarget_mean: 0.5\n"
+            "outcome: {family: normal, sd: 0.1}\n"
+            "covariates:\n"
+            "  - {name: c, dist: cauchy, location: -1000000.0, scale: 1.0, beta: 1.0}\n"
+            "solver: log_closed_form\n"
+        )
+        assert main(["solve", "--config", str(path), "--engine", "mc", "--n-mc", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert "term 'c'" in err
+        assert "underflows" in err
+
     @pytest.mark.parametrize(
         "mu, target, residual",
         [("-700.0", "1000000.0", "648721.271"), ("-800.0", "0.5", "nan")],

@@ -3,8 +3,9 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import balint.expectation as expectation_mod
 import balint.intercept as intercept_mod
 from balint import (
     Bernoulli,
@@ -654,3 +655,344 @@ class TestTermContributions:
     def test_default_tol_follows_engine(self):
         assert intercept_mod.default_tol(ExactEnumeration()) == intercept_mod.DEFAULT_TOL_EXACT
         assert intercept_mod.default_tol(MonteCarlo(10)) == intercept_mod.DEFAULT_TOL_MC
+
+
+def _oracle_solve_numeric(dgp, engine, tol, rng):
+    """solve_numeric as it ran before the interval filter: one full pass per test."""
+    target = dgp.target_mean
+    link = dgp.link
+    if isinstance(engine, MonteCarlo):
+        eta = intercept_mod._eta_draws(dgp, engine.n_mc, rng)
+
+        def evaluate(b0):
+            mu = link.invert(eta + b0)
+            return float(np.mean(mu)), mu
+
+    else:
+        etas, probs = intercept_mod._eta_support(dgp)
+
+        def evaluate(b0):
+            return float(probs @ np.atleast_1d(link.invert(b0 + etas))), None
+
+    def expect(b0):
+        return evaluate(b0)[0]
+
+    center = link.apply(target)
+    half = 1.0
+    lo, hi = center - half, center + half
+    flo = expect(lo) - target
+    fhi = expect(hi) - target
+    expansions = 0
+    while not (flo <= 0.0 <= fhi):
+        expansions += 1
+        if expansions > intercept_mod.MAX_EXPANSIONS:
+            raise NoRootError(
+                f"no sign change within g(target) +/- {half:g} "
+                f"after {intercept_mod.MAX_EXPANSIONS} bracket expansions"
+            )
+        half *= 2.0
+        lo, hi = center - half, center + half
+        flo = expect(lo) - target
+        fhi = expect(hi) - target
+    if abs(flo) <= tol:
+        beta0, residual, bisections = lo, abs(flo), 0
+    elif abs(fhi) <= tol:
+        beta0, residual, bisections = hi, abs(fhi), 0
+    else:
+        beta0 = residual = None
+        for bisections in range(1, intercept_mod.MAX_BISECTIONS + 1):
+            mid = 0.5 * (lo + hi)
+            fm = expect(mid) - target
+            if abs(fm) <= tol:
+                beta0, residual = mid, abs(fm)
+                break
+            if fm < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        if beta0 is None:
+            raise NoRootError(
+                f"bisection did not bring the residual under {tol:g} "
+                f"within {intercept_mod.MAX_BISECTIONS} iterations"
+            )
+    mc_se = 0.0
+    warnings = set()
+    if isinstance(engine, MonteCarlo):
+        mu = evaluate(beta0)[1]
+        mc_se = float(mu.std(ddof=1) / math.sqrt(mu.size))
+        if mc_se > tol / 4.0:
+            warnings.add("mc_precision")
+    return intercept_mod.InterceptSolution(
+        beta0=float(beta0),
+        method="numeric",
+        residual=float(residual),
+        iterations=expansions + bisections,
+        mc_se=mc_se,
+        warnings=frozenset(warnings),
+    )
+
+
+def _solve_outcome(solver, dgp, engine, tol, seed):
+    """Every InterceptSolution field as hex, or the error's type and message."""
+    try:
+        sol = solver(dgp, engine, tol, RngStream(seed))
+    except NoRootError as e:
+        return type(e).__name__, str(e)
+    return (
+        sol.beta0.hex(),
+        sol.method,
+        sol.residual.hex(),
+        sol.iterations,
+        sol.mc_se.hex(),
+        sorted(sol.warnings),
+    )
+
+
+def _filtered(dgp, engine, tol, rng):
+    return solve_numeric(dgp, engine=engine, tol=tol, rng=rng)
+
+
+_SUPPFIG1_Z = (
+    Bernoulli(0.8),
+    UniformContinuous(-1.0, 3.0),
+    Normal(0.0, 1.0),
+    Gamma(1.0, 1.5),
+)
+
+
+def _logit_cells(betas=(1.0, 1.5, 2.0, 2.5, 3.0), targets=tuple(k / 10 for k in range(1, 10))):
+    """The suppfig1 axes under a logit link, as the numeric solver's benchmark grid has them."""
+    return [
+        DgpSpec((CAT_TERM, Term("z", z, beta2)), Logit(), BernoulliOutcome(), target)
+        for z in _SUPPFIG1_Z
+        for beta2 in betas
+        for target in targets
+    ]
+
+
+@st.composite
+def _random_dgps(draw):
+    link = draw(st.sampled_from([Identity(), Log(), Logit()]))
+    finite_support = True
+    terms = []
+    for i in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["categorical", "bernoulli", "normal", "gamma", "cauchy"]))
+        beta = draw(st.floats(-3.0, 3.0))
+        if kind == "categorical":
+            spec, beta = CAT_TERM.spec, (beta, draw(st.floats(-3.0, 3.0)))
+        elif kind == "bernoulli":
+            spec = Bernoulli(draw(st.floats(0.0, 1.0)))
+        elif kind == "normal":
+            spec = Normal(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.01, 5.0)))
+        elif kind == "gamma":
+            spec = Gamma(draw(st.floats(0.2, 5.0)), draw(st.floats(0.5, 5.0)))
+        else:
+            spec = Cauchy(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.01, 3.0)))
+        finite_support = finite_support and kind in ("categorical", "bernoulli")
+        terms.append(Term(f"x{i}", spec, beta))
+    near_zero = st.floats(1e-7, 1e-6)
+    target = draw(
+        {
+            "identity": st.floats(-10.0, 10.0),
+            "log": st.one_of(near_zero, st.floats(1e-6, 10.0)),
+            "logit": st.one_of(near_zero, st.floats(1.0 - 1e-6, 1.0 - 1e-7), st.floats(0.01, 0.99)),
+        }[link.name]
+    )
+    dgp = DgpSpec(tuple(terms), link, NormalOutcome(1.0), target)
+    if finite_support and draw(st.booleans()):
+        engine = ExactEnumeration()
+    else:
+        engine = MonteCarlo(draw(st.sampled_from([200, 1000, 5000])))
+    tol = 10.0 ** draw(st.floats(-12.0, -2.0))
+    return dgp, engine, tol
+
+
+class TestFilteredBisection:
+    """The filtered loop against the pre-filter loop kept above, field for field in hex."""
+
+    @pytest.mark.parametrize("seed", [20230620, 1, 2])
+    def test_bits_on_the_logit_numeric_mc_axes(self, seed):
+        for k, dgp in enumerate(_logit_cells()):
+            args = (dgp, MonteCarlo(10_000), intercept_mod.DEFAULT_TOL_MC, seed * 1000 + k)
+            assert _solve_outcome(_filtered, *args) == _solve_outcome(_oracle_solve_numeric, *args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_random_dgps(), st.integers(0, 2**32 - 1))
+    @example(  # bounds taken from swapped bin edges decide a step wrongly here
+        (
+            DgpSpec((Term("x0", Cauchy(0.0, 1.0), 1.0),), Log(), NormalOutcome(1.0), 1e-7),
+            MonteCarlo(200),
+            1e-9,
+        ),
+        0,
+    )
+    def test_bits_on_random_dgps(self, case, seed):
+        dgp, engine, tol = case
+        with np.errstate(all="ignore"):
+            filtered = _solve_outcome(_filtered, dgp, engine, tol, seed)
+            oracle = _solve_outcome(_oracle_solve_numeric, dgp, engine, tol, seed)
+        assert filtered == oracle
+
+    @pytest.mark.parametrize("engine", [ExactEnumeration(), MonteCarlo(2000)], ids=["exact", "mc"])
+    def test_exhausted_bisection_keeps_its_message(self, engine):
+        # at this target no double beta0 gives a residual of exactly 0
+        dgp = cat_dgp(link=Logit(), target=0.123)
+        args = (dgp, engine, 1e-300, 4)
+        outcome = _solve_outcome(_filtered, *args)
+        assert outcome == _solve_outcome(_oracle_solve_numeric, *args)
+        assert outcome == (
+            "NoRootError",
+            "bisection did not bring the residual under 1e-300 within 200 iterations",
+        )
+
+    def test_exhausted_expansions_keep_their_message(self, monkeypatch):
+        monkeypatch.setattr(intercept_mod, "MAX_EXPANSIONS", 3)
+        dgp = DgpSpec((Term("z", Normal(40.0, 1.0), 1.0),), Logit(), BernoulliOutcome(), 0.5)
+        args = (dgp, MonteCarlo(2000), 1e-4, 5)
+        outcome = _solve_outcome(_filtered, *args)
+        assert outcome == _solve_outcome(_oracle_solve_numeric, *args)
+        assert outcome == (
+            "NoRootError",
+            "no sign change within g(target) +/- 8 after 3 bracket expansions",
+        )
+
+    def test_filter_skips_most_exact_passes(self, monkeypatch):
+        # the bit tests cannot tell a filter that never fires from one that does
+        passes = []
+        mean = expectation_mod.FrozenDraws.mean
+
+        def counting_mean(self, b0):
+            passes.append(b0)
+            return mean(self, b0)
+
+        monkeypatch.setattr(expectation_mod.FrozenDraws, "mean", counting_mean)
+        cells = _logit_cells(betas=(1.0, 3.0), targets=(0.1, 0.5, 0.9))
+        iterations = 0
+        for k, dgp in enumerate(cells):
+            iterations += solve_numeric(dgp, engine=MonteCarlo(), rng=RngStream(k)).iterations
+        assert iterations >= 8 * len(cells)
+        assert len(passes) <= 3 * len(cells)
+
+
+_ETA_LINKS = st.sampled_from([Identity(), Log(), Logit()])
+_B0 = st.one_of(
+    st.just(0.0),
+    st.floats(-50.0, 50.0),
+    st.builds(lambda k, sign: sign * 2.0**k, st.integers(0, 60), st.sampled_from([-1.0, 1.0])),
+)
+
+
+@st.composite
+def _drawn_etas(draw):
+    """A sample like a solver's frozen draws: many points, dense bins, at any location and scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3000))
+    kind = draw(st.sampled_from(["normal", "gamma", "cauchy", "levels"]))
+    if kind == "normal":
+        base = rng.standard_normal(n)
+    elif kind == "gamma":
+        base = rng.gamma(draw(st.floats(0.2, 5.0)), 1.0, n)
+    elif kind == "cauchy":
+        base = rng.standard_cauchy(n)
+    else:
+        base = rng.integers(0, draw(st.integers(1, 5)), n).astype(float)
+    loc = draw(st.one_of(st.floats(-10.0, 10.0), st.floats(-1e12, 1e12)))
+    scale = 10.0 ** draw(st.floats(-12.0, 3.0))
+    return loc + scale * base
+
+
+_ANY_ETAS = st.one_of(
+    _drawn_etas(),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=200).map(
+        np.array
+    ),
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 500)).map(
+        lambda c: np.full(c[1], c[0])
+    ),
+)
+
+
+class TestFrozenDrawsInterval:
+    @settings(max_examples=400, deadline=None)
+    @given(_ETA_LINKS, _ANY_ETAS, _B0)
+    def test_interval_contains_the_exact_mean(self, link, eta, b0):
+        draws = expectation_mod.FrozenDraws(link, eta)
+        with np.errstate(all="ignore"):
+            lo, hi = draws.interval(b0)
+            mean = draws.mean(b0)
+        if math.isnan(mean):
+            assert (lo, hi) == (-math.inf, math.inf)
+        else:
+            assert lo <= mean <= hi
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _ETA_LINKS,
+        st.lists(st.floats(-1e6, 1e6), max_size=50),
+        st.lists(st.sampled_from([-math.inf, math.inf]), min_size=1, max_size=3),
+        _B0,
+    )
+    def test_infinite_draws_build_no_histogram(self, link, finite, infinite, b0):
+        draws = expectation_mod.FrozenDraws(link, np.array(finite + infinite))
+        assert draws.histogram is None
+        assert draws.interval(b0) == (-math.inf, math.inf)
+
+    @pytest.mark.parametrize("link", [Identity(), Log(), Logit()], ids=lambda l: l.name)
+    def test_constant_draws_are_one_zero_width_bin(self, link):
+        draws = expectation_mod.FrozenDraws(link, np.full(1000, 0.7))
+        edges, p, _ = draws.histogram
+        assert edges.tolist() == [[0.7], [0.7]] and p.tolist() == [1.0]
+        lo, hi = draws.interval(-0.2)
+        assert lo <= draws.mean(-0.2) <= hi
+        assert hi - lo <= 1e-8
+
+    def test_building_the_histogram_keeps_se_exact(self):
+        # the histogram borrows the work buffers that se() reads
+        eta = intercept_mod._eta_draws(_pin_dgp("logit_normal_z"), 10_000, RngStream(6))
+        reference = expectation_mod.FrozenDraws(Logit(), eta)
+        draws = expectation_mod.FrozenDraws(Logit(), eta)
+        draws.mean(0.4)
+        draws.interval(0.4)
+        assert draws.se(0.4) == reference.se(0.4)
+
+    def test_interval_is_narrow_on_a_solver_sample(self):
+        dgp = _logit_cells(betas=(3.0,), targets=(0.3,))[3]  # the gamma z cell
+        draws = expectation_mod.FrozenDraws(Logit(), intercept_mod._eta_draws(dgp, 100_000, RngStream(9)))
+        assert draws.histogram[1].size <= expectation_mod.HIST_BINS
+        lo, hi = draws.interval(-2.0)
+        assert lo <= draws.mean(-2.0) <= hi
+        assert hi - lo <= 0.01
+
+
+class TestClosedFormMonteCarloEstimates:
+    def test_underflowing_fallback_estimate_is_infeasible_and_named(self):
+        dgp = DgpSpec((Term("c", Cauchy(-1e6, 1.0), 1.0),), Log(), NormalOutcome(0.1), 0.5)
+        with pytest.raises(InfeasibleError, match="term 'c'.*underflows to 0"):
+            solve_log_closed_form(dgp, MonteCarlo(1000), RngStream(1))
+
+    @pytest.mark.parametrize(
+        "estimate, message",
+        [(0.0, "underflows to 0"), (math.nan, "is NaN"), (math.inf, "overflows")],
+    )
+    def test_fallback_estimate_checked(self, monkeypatch, estimate, message):
+        monkeypatch.setattr(
+            intercept_mod,
+            "mc_exp_moment",
+            lambda *a: intercept_mod.MomentEstimate(estimate, 1.0, frozenset()),
+        )
+        dgp = DgpSpec((Term("c", Cauchy(0.0, 1.0), 1.0),), Log(), NormalOutcome(0.1), 0.5)
+        with pytest.raises(InfeasibleError, match=f"term 'c'.*{message}"):
+            solve_log_closed_form(dgp, MonteCarlo(1000), RngStream(1))
+
+    @pytest.mark.parametrize(
+        "spec, beta, message",
+        [(Normal(-800.0, 1.0), 1.0, "underflows to 0"), (Normal(0.0, 1.0), 400.0, "overflows")],
+        ids=["underflow", "overflow"],
+    )
+    def test_joint_sampler_estimate_checked(self, spec, beta, message):
+        dgp = DgpSpec(
+            (), Log(), NormalOutcome(0.1), 0.5,
+            sampler=independent_sampler([spec]), sampler_betas=(beta,),
+        )
+        with pytest.raises(InfeasibleError, match=f"joint sampler.*{message}"):
+            solve_log_closed_form(dgp, MonteCarlo(1000), RngStream(1))
