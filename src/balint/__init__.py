@@ -20,13 +20,9 @@ from .distributions import (
     Cauchy,
     CovariateSpec,
     Gamma,
-    JointSampler,
-    MomentEstimate,
     Normal,
     RngStream,
     UniformContinuous,
-    independent_sampler,
-    mc_exp_moment,
 )
 from .errors import (
     ConfigError,

@@ -53,8 +53,6 @@ __all__ = [
     "load_config",
     "parse_grid_config",
     "parse_dgp_config",
-    "grid_config_to_dict",
-    "dgp_config_to_dict",
     "DgpDocument",
     "main",
     "entry",
@@ -142,13 +140,6 @@ def _parse_dist(entry: dict, where: str, extra_keys: set[str]) -> CovariateSpec:
     return cls(**{k: _num(entry[k], k, where) for k in params})
 
 
-def _dist_to_dict(spec: CovariateSpec) -> dict:
-    doc = {"dist": spec.kind, **{f.name: getattr(spec, f.name) for f in fields(spec)}}
-    if isinstance(spec, Categorical):
-        doc.update(probs=list(spec.probs), coding=spec.coding.name)
-    return doc
-
-
 def _parse_outcome(entry, where: str) -> OutcomeFamily:
     _check_keys(entry, {"family", "sd", "clamp"}, {"family"}, where)
     family = _str(entry["family"], "family", where)
@@ -161,12 +152,6 @@ def _parse_outcome(entry, where: str) -> OutcomeFamily:
             clamp=clamp_by_name(_str(entry.get("clamp", "clamp_to_unit"), "clamp", where))
         )
     raise ConfigError(f"unknown outcome family '{family}' in {where} (expected normal or bernoulli)")
-
-
-def _outcome_to_dict(outcome: OutcomeFamily) -> dict:
-    if isinstance(outcome, NormalOutcome):
-        return {"family": "normal", "sd": outcome.sd}
-    return {"family": "bernoulli", "clamp": outcome.clamp.name}
 
 
 def _parse_engine(doc: dict, where: str) -> Engine:
@@ -253,36 +238,6 @@ def parse_grid_config(doc: dict) -> GridConfig:
     )
 
 
-def grid_config_to_dict(cfg: GridConfig) -> dict:
-    doc = {
-        "name": cfg.name,
-        "link": cfg.link.name,
-        "outcome": _outcome_to_dict(cfg.outcome),
-        "exposure": {
-            "name": cfg.exposure.name,
-            "probs": list(cfg.exposure.spec.probs),
-            "betas": list(cfg.exposure.beta),
-            "coding": cfg.exposure.spec.coding.name,
-        },
-        "covariate_axis": [
-            {"name": name, **_dist_to_dict(spec)} for name, spec in cfg.z_axis
-        ],
-        "beta2_axis": list(cfg.beta2_axis),
-        "target_axis": list(cfg.target_axis),
-        "n": cfg.n,
-        "replicates": cfg.replicates,
-        "master_seed": cfg.master_seed,
-        "solver": cfg.solver,
-        "engine": cfg.engine.name,
-        "workers": cfg.workers,
-    }
-    if isinstance(cfg.engine, MonteCarlo):
-        doc["n_mc"] = cfg.engine.n_mc
-    if cfg.tol is not None:
-        doc["tol"] = cfg.tol
-    return doc
-
-
 # --------------------------------------------------------- single-DGP configs
 
 _DGP_REQUIRED = {"link", "target_mean", "outcome", "covariates", "solver"}
@@ -334,31 +289,6 @@ def parse_dgp_config(doc: dict) -> DgpDocument:
         tol=_parse_tol(doc, where),
         master_seed=_int(doc.get("master_seed", 0), "master_seed", where),
     )
-
-
-def dgp_config_to_dict(parsed: DgpDocument) -> dict:
-    covariates = []
-    for term in parsed.dgp.terms:
-        entry = {"name": term.name, **_dist_to_dict(term.spec)}
-        if isinstance(term.spec, Categorical):
-            entry["betas"] = list(term.beta)
-        else:
-            entry["beta"] = term.beta
-        covariates.append(entry)
-    doc = {
-        "link": parsed.dgp.link.name,
-        "target_mean": parsed.dgp.target_mean,
-        "outcome": _outcome_to_dict(parsed.dgp.outcome),
-        "covariates": covariates,
-        "solver": parsed.solver,
-        "engine": parsed.engine.name,
-        "master_seed": parsed.master_seed,
-    }
-    if isinstance(parsed.engine, MonteCarlo):
-        doc["n_mc"] = parsed.engine.n_mc
-    if parsed.tol is not None:
-        doc["tol"] = parsed.tol
-    return doc
 
 
 # ------------------------------------------------------------------ commands

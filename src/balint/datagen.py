@@ -45,10 +45,6 @@ def generate(dgp: DgpSpec, beta0: float, n: int, rng: RngStream) -> Dataset:
     n = int(n)
     if n < 1:
         raise SpecError("dataset size must be at least 1")
-    if dgp.sampler is not None:
-        raise SpecError(
-            "generate draws covariates independently; a joint sampler is not supported here"
-        )
     eta = np.full(n, float(beta0))
     draws = draw_terms(dgp.terms, n, rng.child(0), eta)
     columns = [Column(term.name, values) for term, values in zip(dgp.terms, draws)]

@@ -3,9 +3,8 @@
 Each distribution is a frozen spec object that can sample itself, report its
 mean, and evaluate its moment generating function where one exists. The MGF is
 what the log-link intercept solver consumes; distributions without one (Cauchy
-everywhere except t=0, and gamma outside t < rate) raise typed errors so the
-caller can decide between failing and falling back to the Monte Carlo
-exponential-moment estimator at the bottom of this module.
+everywhere except t=0, and gamma outside t < rate) raise typed errors, which
+the solver reports as a balancing intercept that does not exist.
 
 Randomness is addressed, never ambient: every sampling entry point takes an
 RngStream, a small immutable descriptor (master seed plus derivation path)
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -35,10 +34,6 @@ __all__ = [
     "Cauchy",
     "Categorical",
     "CovariateSpec",
-    "JointSampler",
-    "independent_sampler",
-    "MomentEstimate",
-    "mc_exp_moment",
 ]
 
 _U64 = 2**64
@@ -247,79 +242,3 @@ class Categorical:
 
 
 CovariateSpec = Union[Bernoulli, UniformContinuous, Normal, Gamma, Cauchy, Categorical]
-
-
-def _block_width(spec: CovariateSpec) -> int:
-    return spec.p - 1 if isinstance(spec, Categorical) else 1
-
-
-@dataclass(frozen=True)
-class JointSampler:
-    """Joint draw of all covariate columns, already encoded.
-
-    draw(n, rng) returns an (n, width) matrix whose columns line up with the
-    concatenated coefficient vector. This is the one entry point through which
-    dependent covariates can reach the solvers; everything built by
-    independent_sampler draws each spec from its own substream.
-    """
-
-    draw: Callable[[int, RngStream], np.ndarray]
-    width: int
-    undefined_exp_moment: bool = False
-
-
-def independent_sampler(specs: Sequence[CovariateSpec]) -> JointSampler:
-    specs = tuple(specs)
-    width = sum(_block_width(s) for s in specs)
-
-    def draw(n: int, rng: RngStream) -> np.ndarray:
-        cols = []
-        for j, spec in enumerate(specs):
-            v = spec.sample(n, rng.child(j))
-            if isinstance(spec, Categorical):
-                cols.append(spec.rows()[v])
-            else:
-                cols.append(v[:, None])
-        return np.hstack(cols)
-
-    heavy = any(isinstance(s, Cauchy) for s in specs)
-    return JointSampler(draw=draw, width=width, undefined_exp_moment=heavy)
-
-
-class MomentEstimate(NamedTuple):
-    estimate: float
-    se: float
-    warnings: frozenset[str]
-
-
-def mc_exp_moment(
-    sampler: JointSampler,
-    betas: Sequence[float],
-    n_mc: int,
-    rng: RngStream,
-) -> MomentEstimate:
-    """Monte Carlo estimate of E[exp(beta' X)] from joint draws.
-
-    Returns the sample mean and its standard error (sample sd / sqrt(n_mc)).
-    For inputs whose exponential moment does not exist (Cauchy), the estimate
-    is still computed but flagged with 'undefined_moment': the number reported
-    estimates a quantity that is not there.
-    """
-    n_mc = int(n_mc)
-    if n_mc < 2:
-        raise SpecError("mc_exp_moment needs at least 2 draws for a standard error")
-    b = np.asarray(betas, dtype=float)
-    if b.ndim != 1 or b.size != sampler.width:
-        raise SpecError(
-            f"coefficient vector length {b.size} does not match sampler width {sampler.width}"
-        )
-    x = sampler.draw(n_mc, rng)
-    # heavy-tailed draws can overflow exp to inf; the resulting inf/nan
-    # estimate is the honest answer for a nonexistent moment, so suppress
-    # numpy's elementwise warnings rather than the result
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.exp(x @ b)
-        estimate = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(n_mc))
-    warnings = frozenset({"undefined_moment"}) if sampler.undefined_exp_moment else frozenset()
-    return MomentEstimate(estimate, se, warnings)

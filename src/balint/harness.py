@@ -16,7 +16,7 @@ import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -156,6 +156,13 @@ class GridConfig:
         kinds = [spec.kind for _, spec in self.z_axis]
         if len(set(kinds)) != len(kinds):
             raise ConfigError(f"covariate axis entries must have distinct distributions, got {kinds}")
+        # a repeated value would run one scenario id twice, on the same streams
+        for axis in ("beta2_axis", "target_axis"):
+            seen = set()
+            for v in getattr(self, axis):
+                if float(v) in seen:
+                    raise ConfigError(f"{axis} repeats the value {float(v)}")
+                seen.add(float(v))
         if self.workers < 0:
             raise ConfigError(f"workers must be nonnegative (0 = auto), got {self.workers}")
 
@@ -188,25 +195,7 @@ class GridRow:
     warnings: tuple[str, ...]
 
 
-CSV_COLUMNS = (
-    "scenario_id",
-    "link",
-    "outcome_family",
-    "solver",
-    "z_dist",
-    "beta2",
-    "target_mean",
-    "beta0",
-    "achieved_mean",
-    "bias",
-    "bias_se",
-    "clamp_rate",
-    "n",
-    "replicates",
-    "master_seed",
-    "status",
-    "warnings",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(GridRow))
 
 
 def expand_grid(cfg: GridConfig) -> list[GridCell]:
@@ -283,19 +272,16 @@ def _run_cell(cell: GridCell) -> GridRow:
     )
 
 
-def run_grid(cfg: GridConfig, workers: Optional[int] = None) -> list[GridRow]:
+def run_grid(cfg: GridConfig) -> list[GridRow]:
     """Run every cell; rows come back in scenario-id order.
 
-    workers > 1 fans cells out over processes, never more than there are
+    cfg.workers > 1 fans cells out over processes, never more than there are
     cells; the output is identical to the sequential run because each cell's
     streams depend only on (master_seed, scenario id) and aggregation follows
     the presorted cell order.
     """
     cells = expand_grid(cfg)
-    w = cfg.workers if workers is None else workers
-    if w == 0:
-        w = os.cpu_count() or 1
-    w = min(w, len(cells))
+    w = min(cfg.workers or os.cpu_count() or 1, len(cells))
     if w <= 1:
         return [_run_cell(c) for c in cells]
     chunk = max(1, len(cells) // (4 * w))
@@ -303,8 +289,19 @@ def run_grid(cfg: GridConfig, workers: Optional[int] = None) -> list[GridRow]:
         return list(ex.map(_run_cell, cells, chunksize=chunk))
 
 
-def _cell_text(value: Optional[float]) -> str:
-    return "" if value is None else format(value, ".9g")
+def _float_text(value: float) -> str:
+    return format(value, ".9g")
+
+
+# one formatter per GridRow field, chosen by its declared type
+_CELL_TEXT = {
+    "str": str,
+    "int": str,
+    "float": _float_text,
+    "Optional[float]": lambda v: "" if v is None else _float_text(v),
+    "tuple[str, ...]": ";".join,
+}
+_ROW_TEXT = tuple((f.name, _CELL_TEXT[f.type]) for f in fields(GridRow))
 
 
 def write_csv(rows: list[GridRow], destination: Union[str, io.TextIOBase]) -> None:
@@ -316,27 +313,7 @@ def write_csv(rows: list[GridRow], destination: Union[str, io.TextIOBase]) -> No
     w = csv.writer(destination, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
     for r in rows:
-        w.writerow(
-            [
-                r.scenario_id,
-                r.link,
-                r.outcome_family,
-                r.solver,
-                r.z_dist,
-                format(r.beta2, ".9g"),
-                format(r.target_mean, ".9g"),
-                _cell_text(r.beta0),
-                _cell_text(r.achieved_mean),
-                _cell_text(r.bias),
-                _cell_text(r.bias_se),
-                _cell_text(r.clamp_rate),
-                str(r.n),
-                str(r.replicates),
-                str(r.master_seed),
-                r.status,
-                ";".join(r.warnings),
-            ]
-        )
+        w.writerow([text(getattr(r, name)) for name, text in _ROW_TEXT])
 
 
 def summarize(rows: list[GridRow]) -> dict:

@@ -9,16 +9,16 @@ its target:
                         solution is flagged.
   solve_log_closed_form beta0 = log(target) - sum_j log E[exp(beta_j X_j)],
                         exact for the log link with independent covariates,
-                        using coded-categorical expectations and MGFs (Monte
-                        Carlo estimation as an opt-in fallback).
+                        using coded-categorical expectations and MGFs; a term
+                        without an MGF is refused under either engine.
   solve_numeric         bracketed bisection on beta0 -> E[g^-1(beta0 + eta)],
                         the route for logit and for anything without a closed
                         form. Monotone because g^-1 is strictly increasing.
 
 The expectation engine behind the numeric route is either exact enumeration
-over finite covariate supports or Monte Carlo over joint draws; with the MC
-engine the draws are frozen once per solve (common random numbers), making
-the objective deterministic and monotone within that solve.
+over finite covariate supports or Monte Carlo over independent per-term
+draws; with the MC engine the draws are frozen once per solve (common random
+numbers), making the objective deterministic and monotone within that solve.
 
 With Monte Carlo most bisection steps are decided by a certified interval
 around the sample mean instead of a full pass over the draws, with the same
@@ -35,15 +35,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .coding import categorical_expectation
-from .distributions import (
-    Categorical,
-    CovariateSpec,
-    JointSampler,
-    MomentEstimate,
-    RngStream,
-    independent_sampler,
-    mc_exp_moment,
-)
+from .distributions import Categorical, CovariateSpec, RngStream
 from .errors import (
     EngineMismatchError,
     InfeasibleError,
@@ -201,18 +193,14 @@ def draw_terms(terms: Sequence[Term], n: int, rng: RngStream, eta: np.ndarray) -
 class DgpSpec:
     """A complete data-generating mechanism minus its intercept.
 
-    terms are sampled independently of each other. Dependent covariates enter
-    only through a user-supplied JointSampler (with sampler_betas as the
-    concatenated coefficient vector over its encoded columns), which confines
-    every solver to the numeric / Monte Carlo path.
+    terms are sampled independently of each other, each from its own
+    substream (draw_terms), which is the assumption the closed forms rest on.
     """
 
     terms: tuple[Term, ...]
     link: Link
     outcome: OutcomeFamily
     target_mean: float
-    sampler: Optional[JointSampler] = None
-    sampler_betas: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -220,17 +208,6 @@ class DgpSpec:
         names = [t.name for t in self.terms]
         if len(set(names)) != len(names):
             raise SpecError(f"term names must be distinct, got {names}")
-        if self.sampler is not None:
-            if self.terms:
-                raise SpecError("a joint sampler replaces the term list; provide one or the other")
-            betas = tuple(float(b) for b in self.sampler_betas)
-            object.__setattr__(self, "sampler_betas", betas)
-            if len(betas) != self.sampler.width:
-                raise SpecError(
-                    f"sampler_betas has length {len(betas)}, sampler width is {self.sampler.width}"
-                )
-        elif self.sampler_betas:
-            raise SpecError("sampler_betas given without a joint sampler")
         t = self.target_mean
         if not math.isfinite(t):
             raise SpecError(f"target_mean must be finite, got {t}")
@@ -297,23 +274,6 @@ def _exact_exp_moment(term: Term) -> float:
     return moment
 
 
-def _mc_log_moment(est: MomentEstimate, owner: str) -> float:
-    """log of a Monte Carlo E[exp(beta' X)]; raises where the estimate has no log to report.
-
-    A zero, NaN or overflowed estimate is infeasible. An infinite estimate of
-    a moment that does not exist (flagged undefined_moment) is what the
-    sample says, and its log is inf.
-    """
-    m = est.estimate
-    if m == 0.0:
-        raise InfeasibleError(f"{owner}: the Monte Carlo E[exp(beta' X)] underflows to 0 in a double")
-    if math.isnan(m):
-        raise InfeasibleError(f"{owner}: the Monte Carlo E[exp(beta' X)] is NaN")
-    if m == math.inf and "undefined_moment" not in est.warnings:
-        raise InfeasibleError(f"{owner}: the Monte Carlo E[exp(beta' X)] overflows a double")
-    return math.log(m)
-
-
 def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
     """beta0 = g(target) - sum_j beta_j E(X_j), on the linear predictor scale.
 
@@ -322,11 +282,6 @@ def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
     returned for comparison purposes with a 'naive_linear_scale' warning and
     its true residual where that is tractable.
     """
-    if dgp.sampler is not None:
-        raise SpecError(
-            "linear-scale solving needs per-term means; a joint sampler routes to "
-            "solve_numeric with the Monte Carlo engine"
-        )
     g = dgp.link.apply(dgp.target_mean)
     s = 0.0
     for term in dgp.terms:
@@ -384,52 +339,22 @@ def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
     )
 
 
-def solve_log_closed_form(
-    dgp: DgpSpec,
-    engine: Engine = ExactEnumeration(),
-    rng: Optional[RngStream] = None,
-) -> InterceptSolution:
+def solve_log_closed_form(dgp: DgpSpec) -> InterceptSolution:
     """beta0 = log(target) - sum_j log E[exp(beta_j X_j)], log link only.
 
     Valid because independent covariates factor the expectation into a product
-    of per-term exponential moments. Each moment comes from the coded
-    categorical expectation, the MGF, or (only with the Monte Carlo engine,
-    for terms without an MGF) mc_exp_moment, which contributes mc_se.
+    of per-term exponential moments, each from the coded categorical
+    expectation or the MGF. A term whose moment is infinite (no MGF, or t
+    outside the MGF's domain) has no balancing intercept, and the error names
+    it; no engine changes that, so the solver takes none.
     """
     if not isinstance(dgp.link, Log):
         raise WrongLinkError(
             f"the closed form solves the log link only, got '{dgp.link.name}'"
         )
-    warnings: set[str] = set()
-    se2 = 0.0
-    if dgp.sampler is not None:
-        if not isinstance(engine, MonteCarlo):
-            raise EngineMismatchError(
-                "a joint sampler has no per-term closed form; use the Monte Carlo engine"
-            )
-        if rng is None:
-            raise SpecError("the Monte Carlo engine needs an rng stream")
-        est = mc_exp_moment(dgp.sampler, dgp.sampler_betas, engine.n_mc, rng)
-        ln_total = _mc_log_moment(est, "joint sampler")
-        se2 = (est.se / est.estimate) ** 2
-        warnings |= set(est.warnings) | {"mc_fallback"}
-    else:
-        ln_total = 0.0
-        for j, term in enumerate(dgp.terms):
-            try:
-                ln_total += math.log(_exact_exp_moment(term))
-            except NoMgfError:
-                if not isinstance(engine, MonteCarlo):
-                    raise
-                if rng is None:
-                    raise SpecError("the Monte Carlo fallback needs an rng stream") from None
-                est = mc_exp_moment(
-                    independent_sampler([term.spec]), term.betas, engine.n_mc, rng.child(j)
-                )
-                ln_total += _mc_log_moment(est, f"term '{term.name}'")
-                # delta method: se of log(m_hat) is se(m_hat)/m_hat
-                se2 += (est.se / est.estimate) ** 2
-                warnings |= set(est.warnings) | {"mc_fallback"}
+    ln_total = 0.0
+    for term in dgp.terms:
+        ln_total += math.log(_exact_exp_moment(term))
     beta0 = math.log(dgp.target_mean) - ln_total
     residual = abs(math.exp(beta0 + ln_total) - dgp.target_mean)
     return InterceptSolution(
@@ -437,15 +362,12 @@ def solve_log_closed_form(
         method="log_closed_form",
         residual=residual,
         iterations=0,
-        mc_se=math.sqrt(se2),
-        warnings=frozenset(warnings),
+        mc_se=0.0,
     )
 
 
 def _eta_support(dgp: DgpSpec) -> tuple[np.ndarray, np.ndarray]:
     """All attainable values of eta - beta0 with their probabilities."""
-    if dgp.sampler is not None:
-        raise EngineMismatchError("a joint sampler cannot be enumerated exactly")
     etas = np.zeros(1)
     probs = np.ones(1)
     for term in dgp.terms:
@@ -467,9 +389,6 @@ def _eta_support(dgp: DgpSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _eta_draws(dgp: DgpSpec, n: int, rng: RngStream) -> np.ndarray:
     """n joint draws of eta - beta0, one substream per term."""
-    if dgp.sampler is not None:
-        x = dgp.sampler.draw(n, rng)
-        return x @ np.asarray(dgp.sampler_betas, dtype=float)
     eta = np.zeros(n)
     draw_terms(dgp.terms, n, rng, eta)
     return eta
@@ -593,11 +512,14 @@ def solve(
     tol: Optional[float] = None,
     rng: Optional[RngStream] = None,
 ) -> InterceptSolution:
-    """Dispatch to a solver by its serialized name."""
+    """Dispatch to a solver by its serialized name.
+
+    engine, tol and rng reach only solve_numeric; the closed forms take none.
+    """
     if method == "linear_scale":
         return solve_linear_scale(dgp)
     if method == "log_closed_form":
-        return solve_log_closed_form(dgp, engine=engine, rng=rng)
+        return solve_log_closed_form(dgp)
     if method == "numeric":
         return solve_numeric(dgp, engine=engine, tol=tol, rng=rng)
     raise SpecError(f"unknown solver '{method}' (expected one of {SOLVER_NAMES})")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -16,19 +17,24 @@ from balint import (
     Bernoulli,
     BernoulliOutcome,
     Categorical,
+    Cauchy,
     ClampToUnit,
     ConfigError,
+    DgpSpec,
+    Effect,
     ExactEnumeration,
     Gamma,
+    GridConfig,
+    Log,
     MonteCarlo,
     Normal,
     NormalOutcome,
+    Term,
     UniformContinuous,
     expand_grid,
 )
 from balint.cli import (
-    dgp_config_to_dict,
-    grid_config_to_dict,
+    DgpDocument,
     load_config,
     main,
     parse_dgp_config,
@@ -62,6 +68,26 @@ replicates: 4
 master_seed: 5
 solver: log_closed_form
 """
+
+# DGP_DOC's exposure, and GRID_DOC's
+EXPOSURE = Term("x", Categorical(probs=(0.5, 0.35, 0.15)), (0.2, -0.2))
+
+
+def mini_grid() -> GridConfig:
+    """GRID_DOC built by hand."""
+    return GridConfig(
+        name="mini",
+        link=Log(),
+        outcome=NormalOutcome(0.1),
+        exposure=EXPOSURE,
+        z_axis=(("z", Bernoulli(0.8)), ("z", Normal(0.0, 1.0))),
+        beta2_axis=(1.0,),
+        target_axis=(0.3, 0.5),
+        n=100,
+        replicates=4,
+        master_seed=5,
+        solver="log_closed_form",
+    )
 
 
 @pytest.fixture
@@ -162,8 +188,13 @@ class TestParseDgpConfig:
 
     def test_round_trip(self):
         parsed = parse_dgp_config(yaml.safe_load(DGP_DOC))
-        again = parse_dgp_config(dgp_config_to_dict(parsed))
-        assert again == parsed
+        assert parsed == DgpDocument(
+            dgp=DgpSpec((EXPOSURE,), Log(), NormalOutcome(0.1), 0.5),
+            solver="log_closed_form",
+            engine=ExactEnumeration(),
+            tol=None,
+            master_seed=11,
+        )
 
     def test_every_distribution_round_trips(self):
         doc = yaml.safe_load(DGP_DOC)
@@ -190,9 +221,14 @@ class TestParseDgpConfig:
             "cauchy",
             "categorical",
         ]
-        # keys come back in the documented order: name, dist, parameters, coefficient
-        assert dgp_config_to_dict(parsed)["covariates"] == doc["covariates"]
-        assert parse_dgp_config(dgp_config_to_dict(parsed)) == parsed
+        assert parsed.dgp.terms == (
+            Term("b", Bernoulli(0.3), 0.5),
+            Term("u", UniformContinuous(-1.0, 3.0), 0.2),
+            Term("n", Normal(0.5, 2.0), 0.1),
+            Term("g", Gamma(2.0, 1.5), 0.4),
+            Term("c", Cauchy(0.0, 1.0), 0.0),
+            Term("k", Categorical(probs=(0.2, 0.8), coding=Effect()), (0.3,)),
+        )
 
 
 class TestParseGridConfig:
@@ -204,8 +240,7 @@ class TestParseGridConfig:
         assert len(expand_grid(cfg)) == 4
 
     def test_round_trip(self):
-        cfg = parse_grid_config(yaml.safe_load(GRID_DOC))
-        assert parse_grid_config(grid_config_to_dict(cfg)) == cfg
+        assert parse_grid_config(yaml.safe_load(GRID_DOC)) == mini_grid()
 
     def test_engine_with_draw_count_round_trips(self):
         doc = yaml.safe_load(GRID_DOC)
@@ -214,7 +249,7 @@ class TestParseGridConfig:
         doc["solver"] = "numeric"
         cfg = parse_grid_config(doc)
         assert cfg.engine == MonteCarlo(5000)
-        assert parse_grid_config(grid_config_to_dict(cfg)) == cfg
+        assert cfg == dataclasses.replace(mini_grid(), solver="numeric", engine=MonteCarlo(5000))
 
     def test_unknown_engine(self):
         doc = yaml.safe_load(GRID_DOC)
@@ -289,6 +324,8 @@ class TestSolveCommand:
         assert float(a["mc_se"]) > 0.0
 
     def test_engine_override_rescues_cauchy(self, capsys, tmp_path):
+        # it does not: a Cauchy term's E[exp(beta X)] is infinite, so the
+        # closed form has no intercept to give under any engine
         path = tmp_path / "cauchy.yaml"
         path.write_text(
             "link: log\ntarget_mean: 0.5\n"
@@ -296,13 +333,11 @@ class TestSolveCommand:
             "covariates:\n  - {name: c, dist: cauchy, location: 0.0, scale: 1.0, beta: 0.5}\n"
             "solver: log_closed_form\n"
         )
-        assert main(["solve", "--config", str(path)]) == 2
-        assert "term 'c'" in capsys.readouterr().err
-        row = solve_row(
-            capsys, ["solve", "--config", str(path), "--engine", "mc", "--n-mc", "1000"]
-        )
-        assert "mc_fallback" in row["warnings"]
-        assert "undefined_moment" in row["warnings"]
+        for engine in (["--engine", "exact"], ["--engine", "mc", "--n-mc", "1000"]):
+            assert main(["solve", "--config", str(path), *engine]) == 2
+            captured = capsys.readouterr()
+            assert "term 'c'" in captured.err
+            assert captured.out == ""
 
     def test_divergent_gamma_exits_2(self, capsys, tmp_path):
         path = tmp_path / "gamma.yaml"
@@ -360,8 +395,8 @@ class TestSolveCommand:
         assert "underflows" in err
 
     def test_underflowing_mc_fallback_exits_2(self, capsys, tmp_path):
-        # a Cauchy term has no MGF, so the closed form estimates its moment by
-        # Monte Carlo; far to the left every exp(x) underflows to 0
+        # far to the left a sample's every exp(x) would underflow to 0, but a
+        # Cauchy term has no MGF and is refused before anything is drawn
         path = tmp_path / "far_cauchy.yaml"
         path.write_text(
             "link: log\ntarget_mean: 0.5\n"
@@ -373,7 +408,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(path), "--engine", "mc", "--n-mc", "1000"]) == 2
         err = capsys.readouterr().err
         assert "term 'c'" in err
-        assert "underflows" in err
+        assert "no MGF" in err
 
     @pytest.mark.parametrize(
         "mu, target, residual",
@@ -481,6 +516,18 @@ class TestSimulateCommand:
                 assert r["status"] == "skipped"
             else:
                 assert r["status"] == "ok"
+
+    def test_repeated_axis_value_exits_1(self, capsys, grid_config, tmp_path):
+        # 1.0 and 1 name one cell, dup/normal/1.0/0.5; running it twice would
+        # write two identical rows that summarize counts twice
+        doc = load_config(grid_config)
+        doc.update(name="dup", beta2_axis=[1.0, 1])
+        config = tmp_path / "dup.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert "beta2_axis repeats the value 1.0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replicate_and_seed_overrides_land_in_rows(self, capsys, grid_config, tmp_path):
         out = tmp_path / "o.csv"

@@ -20,7 +20,6 @@ from balint import (
     UniformContinuous,
     expectation_of_mean,
     generate,
-    independent_sampler,
     solve_log_closed_form,
 )
 
@@ -181,15 +180,6 @@ class TestValidation:
     def test_size_must_be_positive(self):
         with pytest.raises(SpecError):
             generate(log_dgp(), -0.74, 0, RngStream(0))
-
-    def test_joint_sampler_unsupported(self):
-        sampler = independent_sampler([Normal(0.0, 1.0)])
-        dgp = DgpSpec(
-            (), Log(), NormalOutcome(0.1), 0.5, sampler=sampler, sampler_betas=(1.0,)
-        )
-        with pytest.raises(SpecError):
-            generate(dgp, -1.0, 100, RngStream(0))
-
 
 class TestGrandMeanUnbiased:
     def test_replicate_grand_mean_matches_expectation(self):

@@ -16,9 +16,8 @@ from balint import (
     SpecError,
     UndefinedMomentError,
     UniformContinuous,
-    independent_sampler,
-    mc_exp_moment,
 )
+from balint.intercept import Term, draw_terms
 
 # Frozen oracles. The MGF spot values were computed by adaptive quadrature of
 # exp(t*x) against the density (independent of the closed forms under test);
@@ -305,49 +304,34 @@ class TestJensenDirection:
             assert spec.mgf(t) == pytest.approx(math.exp(t * spec.mean()), rel=1e-15)
 
 
+def mc_exp_moment(terms, n, rng):
+    """(mean, se) of exp(eta) over n draws of the terms, drawn as a replicate draws them."""
+    eta = np.zeros(n)
+    draw_terms(terms, n, rng, eta)
+    vals = np.exp(eta)
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(n)
+
+
 class TestMcExpMoment:
+    """Draws through draw_terms and Term.eta reproduce the closed-form moments."""
+
     def test_zero_betas_exact_one(self):
-        sampler = independent_sampler([Normal(0.0, 1.0), Bernoulli(0.5)])
-        est = mc_exp_moment(sampler, [0.0, 0.0], 1000, RngStream(1))
-        assert est.estimate == 1.0
-        assert est.se == 0.0
-        assert est.warnings == frozenset()
+        terms = [Term("z", Normal(0.0, 1.0), 0.0), Term("b", Bernoulli(0.5), 0.0)]
+        assert mc_exp_moment(terms, 1000, RngStream(1)) == (1.0, 0.0)
 
     def test_normal_matches_mgf(self):
-        est = mc_exp_moment(independent_sampler([Normal(0.0, 1.0)]), [1.0], 10**5, RngStream(6))
-        assert est.se > 0
-        assert abs(est.estimate - NORMAL01_MGF_1) <= 4 * est.se
+        estimate, se = mc_exp_moment([Term("z", Normal(0.0, 1.0), 1.0)], 10**5, RngStream(6))
+        assert se > 0
+        assert abs(estimate - NORMAL01_MGF_1) <= 4 * se
 
     def test_bernoulli_matches_enumeration(self):
-        est = mc_exp_moment(independent_sampler([Bernoulli(0.8)]), [2.0], 10**5, RngStream(7))
-        assert abs(est.estimate - BERN_EXP_MOMENT_2) <= 4 * est.se
+        estimate, se = mc_exp_moment([Term("b", Bernoulli(0.8), 2.0)], 10**5, RngStream(7))
+        assert abs(estimate - BERN_EXP_MOMENT_2) <= 4 * se
 
     def test_categorical_block_matches_direct_sum(self):
-        spec = Categorical(probs=(0.5, 0.35, 0.15))
-        est = mc_exp_moment(independent_sampler([spec]), [0.2, -0.2], 10**5, RngStream(8))
-        assert abs(est.estimate - CAT_EXP_MOMENT) <= 4 * est.se
-
-    def test_joint_sampler_width_and_determinism(self):
-        sampler = independent_sampler([Categorical(probs=(0.4, 0.6)), Normal(0.0, 1.0)])
-        assert sampler.width == 2
-        a = sampler.draw(50, RngStream(3, (1,)))
-        b = sampler.draw(50, RngStream(3, (1,)))
-        assert np.array_equal(a, b)
-        assert a.shape == (50, 2)
-
-    def test_cauchy_flagged(self):
-        sampler = independent_sampler([Cauchy(0.0, 1.0)])
-        assert sampler.undefined_exp_moment
-        est = mc_exp_moment(sampler, [0.1], 500, RngStream(9))
-        assert "undefined_moment" in est.warnings
-
-    def test_validation(self):
-        sampler = independent_sampler([Normal(0.0, 1.0)])
-        with pytest.raises(SpecError):
-            mc_exp_moment(sampler, [1.0], 1, RngStream(0))
-        with pytest.raises(SpecError):
-            mc_exp_moment(sampler, [1.0, 2.0], 100, RngStream(0))
-
+        term = Term("k", Categorical(probs=(0.5, 0.35, 0.15)), (0.2, -0.2))
+        estimate, se = mc_exp_moment([term], 10**5, RngStream(8))
+        assert abs(estimate - CAT_EXP_MOMENT) <= 4 * se
 
 class TestSampleReproducibility:
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -148,6 +149,19 @@ class TestGridValidation:
         with pytest.raises(ConfigError, match="distinct"):
             small_grid(z_axis=(("z", Bernoulli(0.8)), ("z", Bernoulli(0.2))))
 
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            (dict(beta2_axis=(1.0, 2.0, 1)), "beta2_axis repeats the value 1.0"),
+            (dict(target_axis=(0.5, 0.5)), "target_axis repeats the value 0.5"),
+        ],
+        ids=["beta2", "target"],
+    )
+    def test_repeated_axis_value(self, axes, message):
+        # a repeated value is one scenario id run twice on the same streams
+        with pytest.raises(ConfigError, match=message):
+            small_grid(**axes)
+
     def test_negative_workers(self):
         with pytest.raises(ConfigError, match="workers"):
             small_grid(workers=-1)
@@ -205,7 +219,7 @@ class TestRunGrid:
         buffers = []
         for w in (1, 2):
             buf = io.StringIO()
-            write_csv(run_grid(cfg, workers=w), buf)
+            write_csv(run_grid(dataclasses.replace(cfg, workers=w)), buf)
             buffers.append(buf.getvalue())
         assert buffers[0] == buffers[1]
 
@@ -231,15 +245,17 @@ class TestRunGrid:
         cfg = small_grid(beta2_axis=(1.0,), workers=workers)
         rows = run_grid(cfg)
         assert sizes == [expected]
-        assert rows == run_grid(cfg, workers=1)
+        assert rows == run_grid(dataclasses.replace(cfg, workers=1))
 
     def test_single_cell_grid_runs_in_process(self, monkeypatch):
         def no_pool(max_workers):
             raise AssertionError("a one-cell grid must not start a pool")
 
         monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_pool)
-        cfg = small_grid(z_axis=(("z", Bernoulli(0.8)),), beta2_axis=(1.0,), target_axis=(0.5,))
-        assert [r.status for r in run_grid(cfg, workers=8)] == ["ok"]
+        cfg = small_grid(
+            z_axis=(("z", Bernoulli(0.8)),), beta2_axis=(1.0,), target_axis=(0.5,), workers=8
+        )
+        assert [r.status for r in run_grid(cfg)] == ["ok"]
 
     def test_bernoulli_outcome_bias_grows_with_target_once_clamped(self):
         cfg = small_grid(

@@ -37,7 +37,6 @@ from balint import (
     UniformContinuous,
     WrongLinkError,
     expectation_of_mean,
-    independent_sampler,
     solve,
     solve_linear_scale,
     solve_log_closed_form,
@@ -94,18 +93,6 @@ class TestConstruction:
     def test_bernoulli_outcome_needs_interior_target(self):
         with pytest.raises(SpecError):
             DgpSpec((), Identity(), BernoulliOutcome(), 1.2)
-
-    def test_sampler_excludes_terms(self):
-        sampler = independent_sampler([Normal(0.0, 1.0)])
-        with pytest.raises(SpecError):
-            DgpSpec((CAT_TERM,), Log(), NormalOutcome(0.1), 0.5, sampler=sampler)
-        with pytest.raises(SpecError):
-            DgpSpec((), Log(), NormalOutcome(0.1), 0.5, sampler_betas=(1.0,))
-
-    def test_sampler_beta_width_checked(self):
-        sampler = independent_sampler([Normal(0.0, 1.0), Bernoulli(0.5)])
-        with pytest.raises(SpecError):
-            DgpSpec((), Log(), NormalOutcome(0.1), 0.5, sampler=sampler, sampler_betas=(1.0,))
 
     def test_monte_carlo_engine_validation(self):
         with pytest.raises(SpecError):
@@ -212,13 +199,6 @@ class TestLinearScale:
         with pytest.raises(UndefinedMomentError, match="term 'c'"):
             solve_linear_scale(dgp)
 
-    def test_sampler_rejected(self):
-        sampler = independent_sampler([Normal(0.0, 1.0)])
-        dgp = DgpSpec((), Identity(), NormalOutcome(1.0), 0.0, sampler=sampler, sampler_betas=(1.0,))
-        with pytest.raises(SpecError):
-            solve_linear_scale(dgp)
-
-
 class TestLogClosedForm:
     def test_categorical_oracle(self):
         sol = solve_log_closed_form(cat_dgp())
@@ -265,7 +245,7 @@ class TestLogClosedForm:
     def test_underflowing_moment_is_infeasible_and_named(self, term, engine):
         dgp = DgpSpec((term,), Log(), NormalOutcome(0.1), 0.5)
         with pytest.raises(InfeasibleError, match="term 'k'.*underflows") as exc:
-            solve_log_closed_form(dgp, engine, RngStream(1))
+            solve(dgp, "log_closed_form", engine=engine, rng=RngStream(1))
         assert not isinstance(exc.value, MgfDomainError)
 
     def test_no_covariates_gives_log_target(self):
@@ -304,44 +284,24 @@ class TestLogClosedForm:
         with pytest.raises(MgfDomainError, match="term 'g'"):
             solve_log_closed_form(dgp)
 
-    def test_cauchy_needs_monte_carlo(self):
+    def test_cauchy_fallback_reports_what_it_is(self):
+        # E[exp(beta X)] is infinite for a Cauchy X and any beta != 0, so no
+        # balancing intercept exists; a sample would only estimate a moment
+        # that is not there, and every engine refuses the term by name
         dgp = DgpSpec(
             (Term("c", Cauchy(0.0, 1.0), 0.5),), Log(), NormalOutcome(0.1), 0.5
         )
         with pytest.raises(NoMgfError, match="term 'c'"):
             solve_log_closed_form(dgp)
-        with pytest.raises(SpecError, match="rng"):
-            solve_log_closed_form(dgp, engine=MonteCarlo(1000))
-
-    def test_cauchy_fallback_reports_what_it_is(self):
-        # the exponential moment genuinely does not exist; the estimate is
-        # whatever the sample says (typically infinite) and both flags are up
-        dgp = DgpSpec(
-            (Term("c", Cauchy(0.0, 1.0), 0.5),), Log(), NormalOutcome(0.1), 0.5
-        )
-        sol = solve_log_closed_form(dgp, engine=MonteCarlo(100_000), rng=RngStream(5))
-        assert {"mc_fallback", "undefined_moment"} <= sol.warnings
-        assert not math.isfinite(sol.beta0) or sol.mc_se > 1.0
+        for engine in (ExactEnumeration(), MonteCarlo(100_000)):
+            with pytest.raises(NoMgfError, match="term 'c'"):
+                solve(dgp, "log_closed_form", engine=engine, rng=RngStream(5))
 
     def test_mc_engine_not_used_when_closed_forms_exist(self):
-        sol = solve_log_closed_form(cat_dgp(), engine=MonteCarlo(100), rng=RngStream(0))
+        sol = solve(cat_dgp(), "log_closed_form", engine=MonteCarlo(100), rng=RngStream(0))
         assert sol.beta0 == pytest.approx(LOG_BETA0, abs=1e-14)
         assert sol.mc_se == 0.0
         assert sol.warnings == frozenset()
-
-    def test_joint_sampler_route(self):
-        sampler = independent_sampler([Normal(0.0, 1.0), Bernoulli(0.8)])
-        dgp = DgpSpec(
-            (), Log(), NormalOutcome(0.1), 0.5, sampler=sampler, sampler_betas=(1.0, 2.0)
-        )
-        with pytest.raises(EngineMismatchError):
-            solve_log_closed_form(dgp)
-        sol = solve_log_closed_form(dgp, engine=MonteCarlo(200_000), rng=RngStream(17))
-        exact = math.log(0.5) - math.log(NORMAL01_MGF_1) - math.log(BERN_EXP_MOMENT_2)
-        assert sol.mc_se > 0.0
-        assert "mc_fallback" in sol.warnings
-        assert abs(sol.beta0 - exact) <= 4 * sol.mc_se
-
 
 class TestExpectationOfMean:
     def test_no_covariates_identity(self):
@@ -962,37 +922,3 @@ class TestFrozenDrawsInterval:
         lo, hi = draws.interval(-2.0)
         assert lo <= draws.mean(-2.0) <= hi
         assert hi - lo <= 0.01
-
-
-class TestClosedFormMonteCarloEstimates:
-    def test_underflowing_fallback_estimate_is_infeasible_and_named(self):
-        dgp = DgpSpec((Term("c", Cauchy(-1e6, 1.0), 1.0),), Log(), NormalOutcome(0.1), 0.5)
-        with pytest.raises(InfeasibleError, match="term 'c'.*underflows to 0"):
-            solve_log_closed_form(dgp, MonteCarlo(1000), RngStream(1))
-
-    @pytest.mark.parametrize(
-        "estimate, message",
-        [(0.0, "underflows to 0"), (math.nan, "is NaN"), (math.inf, "overflows")],
-    )
-    def test_fallback_estimate_checked(self, monkeypatch, estimate, message):
-        monkeypatch.setattr(
-            intercept_mod,
-            "mc_exp_moment",
-            lambda *a: intercept_mod.MomentEstimate(estimate, 1.0, frozenset()),
-        )
-        dgp = DgpSpec((Term("c", Cauchy(0.0, 1.0), 1.0),), Log(), NormalOutcome(0.1), 0.5)
-        with pytest.raises(InfeasibleError, match=f"term 'c'.*{message}"):
-            solve_log_closed_form(dgp, MonteCarlo(1000), RngStream(1))
-
-    @pytest.mark.parametrize(
-        "spec, beta, message",
-        [(Normal(-800.0, 1.0), 1.0, "underflows to 0"), (Normal(0.0, 1.0), 400.0, "overflows")],
-        ids=["underflow", "overflow"],
-    )
-    def test_joint_sampler_estimate_checked(self, spec, beta, message):
-        dgp = DgpSpec(
-            (), Log(), NormalOutcome(0.1), 0.5,
-            sampler=independent_sampler([spec]), sampler_betas=(beta,),
-        )
-        with pytest.raises(InfeasibleError, match=f"joint sampler.*{message}"):
-            solve_log_closed_form(dgp, MonteCarlo(1000), RngStream(1))
