@@ -28,9 +28,10 @@ result to the bit (expectation.py has the filter and its proof).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .errors import (
     UndefinedMomentError,
     WrongLinkError,
 )
-from .expectation import Enumerated, Expectation, FrozenDraws, Residual
+from .expectation import WORKSPACE, Enumerated, Expectation, FrozenDraws, Residual
 from .links import Identity, Link, Log, Logit
 
 __all__ = [
@@ -168,23 +169,35 @@ class Term:
         """A categorical's contribution per level, rows() @ betas, built once per term."""
         return self.spec.rows() @ self.betas
 
-    def eta(self, values: np.ndarray) -> np.ndarray:
+    def eta(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """This term's share of the linear predictor at the given draws or support points."""
         if isinstance(self.spec, Categorical):
-            return np.take(self._level_eta, values)
-        return self.beta * values
+            # levels are always in range, so "clip" never clips; unlike the
+            # default "raise" it writes into out without a buffered copy
+            return np.take(self._level_eta, values, out=out, mode="clip")
+        return np.multiply(self.beta, values, out=out)
 
 
-def draw_terms(terms: Sequence[Term], n: int, rng: RngStream, eta: np.ndarray) -> list[np.ndarray]:
+def draw_terms(
+    terms: Sequence[Term],
+    n: int,
+    rng: RngStream,
+    eta: np.ndarray,
+    work: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> list[np.ndarray]:
     """Draw n values per term, term j from rng.child(j), adding each term's eta in place.
 
     A term's draws depend only on its own substream, so adding a term never
     perturbs the draws of earlier ones. Returns the draws in term order.
+    work = (x, y), two float64 arrays of n: each term is drawn into x and its
+    share of eta written into y, so nothing of size n is allocated, and the
+    draws returned are views of x that each later term overwrites.
     """
+    x, y = work or (None, None)
     draws = []
     for j, term in enumerate(terms):
-        values = term.spec.sample(n, rng.child(j))
-        eta += term.eta(values)
+        values = term.spec.sample(n, rng.child(j), out=x)
+        eta += term.eta(values, out=y)
         draws.append(values)
     return draws
 
@@ -264,6 +277,17 @@ def _exp_moment(term: Term) -> float:
         return math.inf
 
 
+def _mean(term: Term) -> float:
+    """E[beta' X] for one term; raises where the mean does not exist."""
+    spec = term.spec
+    if isinstance(spec, Categorical):
+        return categorical_expectation(spec.probs, term.beta, spec.coding, lambda v: v)
+    try:
+        return term.beta * spec.mean()
+    except UndefinedMomentError as e:
+        raise UndefinedMomentError(f"term '{term.name}': {e}") from None
+
+
 def _exact_exp_moment(term: Term) -> float:
     """E[exp(beta' X)] for one term; raises where none exists or it is not a positive double."""
     moment = _exp_moment(term)
@@ -285,14 +309,7 @@ def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
     g = dgp.link.apply(dgp.target_mean)
     s = 0.0
     for term in dgp.terms:
-        spec = term.spec
-        if isinstance(spec, Categorical):
-            s += categorical_expectation(spec.probs, term.beta, spec.coding, lambda v: v)
-        else:
-            try:
-                s += term.beta * spec.mean()
-            except UndefinedMomentError as e:
-                raise UndefinedMomentError(f"term '{term.name}': {e}") from None
+        s += _mean(term)
     beta0 = g - s
     if isinstance(dgp.link, Identity):
         return InterceptSolution(
@@ -387,20 +404,53 @@ def _eta_support(dgp: DgpSpec) -> tuple[np.ndarray, np.ndarray]:
     return etas, probs
 
 
-def _eta_draws(dgp: DgpSpec, n: int, rng: RngStream) -> np.ndarray:
-    """n joint draws of eta - beta0, one substream per term."""
-    eta = np.zeros(n)
-    draw_terms(dgp.terms, n, rng, eta)
+def _eta_draws(
+    dgp: DgpSpec, n: int, rng: RngStream, work: Optional[tuple[np.ndarray, ...]] = None
+) -> np.ndarray:
+    """n joint draws of eta - beta0, one substream per term.
+
+    work = (eta, x, y), float64 arrays of n: the draws are summed into eta,
+    with x and y as draw_terms' buffers. Fresh arrays when not passed.
+    """
+    eta, x, y = work or tuple(np.empty(n) for _ in range(3))
+    eta.fill(0.0)
+    draw_terms(dgp.terms, n, rng, eta, (x, y))
     return eta
 
 
-def _expectation(dgp: DgpSpec, engine: Engine, rng: Optional[RngStream]) -> Expectation:
-    """b0 -> E[g^-1(b0 + eta)] under the engine; Monte Carlo draws are frozen here."""
+def _check_moments(dgp: DgpSpec) -> None:
+    """Refuse, by term name, a term whose moment the link balances does not exist.
+
+    Under log the solver balances E[exp(beta0 + eta)], which needs every
+    E[exp(beta' X)] finite (NoMgfError, MgfDomainError); under identity it
+    balances E[eta], which needs every mean (UndefinedMomentError). A sample
+    of a moment that does not exist still has a finite mean, which converges
+    to nothing as n_mc grows. g^-1 of the logit link is bounded, so every
+    logit expectation exists.
+    """
+    for term in dgp.terms:
+        if isinstance(dgp.link, Log):
+            _exp_moment(term)
+        elif isinstance(dgp.link, Identity):
+            _mean(term)
+
+
+@contextmanager
+def _expectation(dgp: DgpSpec, engine: Engine, rng: Optional[RngStream]) -> Iterator[Expectation]:
+    """b0 -> E[g^-1(b0 + eta)] under the engine, for a with block.
+
+    A term whose balanced moment does not exist is refused first
+    (_check_moments). Monte Carlo draws are frozen here, in arrays borrowed
+    from WORKSPACE until the block ends.
+    """
+    _check_moments(dgp)
     if isinstance(engine, ExactEnumeration):
-        return Enumerated(dgp.link, *_eta_support(dgp))
+        yield Enumerated(dgp.link, *_eta_support(dgp))
+        return
     if rng is None:
         raise SpecError("the Monte Carlo engine needs an rng stream")
-    return FrozenDraws(dgp.link, _eta_draws(dgp, engine.n_mc, rng))
+    with WORKSPACE.borrow(engine.n_mc) as (eta, x, mu):
+        yield FrozenDraws(dgp.link, _eta_draws(dgp, engine.n_mc, rng, (eta, x, mu)), (x, mu))
 
 
 def expectation_of_mean(
@@ -409,9 +459,12 @@ def expectation_of_mean(
     engine: Engine = ExactEnumeration(),
     rng: Optional[RngStream] = None,
 ) -> tuple[float, float]:
-    """(E[g^-1(beta0 + eta)], standard error); se is 0 on the exact path."""
-    expectation = _expectation(dgp, engine, rng)
-    return expectation.mean(beta0), expectation.se(beta0)
+    """(E[g^-1(beta0 + eta)], standard error); se is 0 on the exact path.
+
+    Refuses a term whose moment does not exist as solve_numeric does.
+    """
+    with _expectation(dgp, engine, rng) as expectation:
+        return expectation.mean(beta0), expectation.se(beta0)
 
 
 def solve_numeric(
@@ -427,8 +480,15 @@ def solve_numeric(
     residual is within tol (at most 200 iterations). g^-1 strictly increasing
     makes the objective monotone, so the bracketed root is unique. With the
     Monte Carlo engine the eta draws are frozen before bracketing, so every
-    evaluation sees the same sample; each evaluation reuses the same two n_mc
-    work buffers, and mc_se comes from the evaluation at the returned beta0.
+    evaluation sees the same sample. The draws and every evaluation live in
+    three n_mc arrays borrowed from the thread's expectation.WORKSPACE, so a
+    solve allocates nothing of size n_mc after the first; mc_se comes from
+    the evaluation at the returned beta0.
+
+    A term whose moment the link balances does not exist is refused by name
+    before anything is drawn: under log one whose E[exp(beta' X)] is
+    infinite (NoMgfError, MgfDomainError), under identity one without a mean
+    (UndefinedMomentError). Every logit expectation exists.
 
     Each step asks one question of the residual f (f <= 0, 0 <= f, f < 0,
     f <= tol or -tol <= f). It is answered from a certified interval around
@@ -443,9 +503,12 @@ def solve_numeric(
         tol = default_tol(engine)
     if not tol > 0.0:
         raise SpecError(f"tol must be positive, got {tol}")
-    target = dgp.target_mean
-    link = dgp.link
-    expectation = _expectation(dgp, engine, rng)
+    with _expectation(dgp, engine, rng) as expectation:
+        return _bisect(expectation, dgp.link, dgp.target_mean, tol)
+
+
+def _bisect(expectation: Expectation, link: Link, target: float, tol: float) -> InterceptSolution:
+    """solve_numeric's bracketing and bisection over one expectation."""
     center = link.apply(target)
     half = 1.0
     flo = Residual(expectation, center - half, target)

@@ -30,7 +30,7 @@ class Identity:
     def apply(self, mu):
         return _returning_like(mu, np.asarray(mu, dtype=float))
 
-    def invert(self, eta, out=None):
+    def invert(self, eta, out=None, scratch=None):
         e = np.asarray(eta, dtype=float)
         if out is None:
             return _returning_like(eta, e)
@@ -48,7 +48,7 @@ class Log:
             raise LinkDomainError("log link requires mu > 0")
         return _returning_like(mu, np.log(m))
 
-    def invert(self, eta, out=None):
+    def invert(self, eta, out=None, scratch=None):
         e = np.asarray(eta, dtype=float)
         # overflow to inf is the mathematically right answer for huge eta,
         # and the bracket expansion deliberately probes huge eta
@@ -66,23 +66,26 @@ class Logit:
             raise LinkDomainError("logit link requires 0 < mu < 1")
         return _returning_like(mu, np.log(m / (1.0 - m)))
 
-    def invert(self, eta, out=None):
+    def invert(self, eta, out=None, scratch=None):
         e = np.asarray(eta, dtype=float)
-        # exp(min(e, 0)) / (1 + exp(-|e|)), computed in place. It equals the
-        # two-branch form bit for bit: for e >= 0 the numerator is exp(0) = 1,
-        # giving 1/(1+exp(-e)); for e < 0, -|e| is exactly e, giving
-        # exp(e)/(1+exp(e)). No masks, and no positive argument is ever
-        # exponentiated, so no overflow at the extreme eta probed during
-        # bracket expansion.
-        den = np.empty_like(e)
-        np.abs(e, out=den)
-        np.negative(den, out=den)
-        np.exp(den, out=den)
-        den += 1.0
+        # With t = exp(-|e|), this is max(t, [e >= 0]) / (1 + t): one exp pass,
+        # in place. It equals the two-branch form bit for bit: for e >= 0 the
+        # numerator is 1 (t <= 1), giving 1/(1+exp(-e)); for e < 0, -|e| is
+        # exactly e, giving exp(e)/(1+exp(e)). No masks, and no positive
+        # argument is ever exponentiated, so no overflow at the extreme eta
+        # probed during bracket expansion. -|e| is taken as min(e, -e), which
+        # returns a NaN e itself, so a NaN keeps its sign and payload as
+        # exp(min(e, 0)) did. scratch (shaped like eta, not eta itself) holds
+        # t and then 1 + t; out may be eta itself.
+        t = np.empty_like(e) if scratch is None else scratch
+        np.negative(e, out=t)
+        np.minimum(e, t, out=t)
+        np.exp(t, out=t)
         res = np.empty_like(e) if out is None else out
-        np.minimum(e, 0.0, out=res)
-        np.exp(res, out=res)
-        res /= den
+        np.greater_equal(e, 0.0, out=res)
+        np.maximum(t, res, out=res)
+        t += 1.0
+        res /= t
         return _returning_like(eta, res, out)
 
 

@@ -339,6 +339,25 @@ class TestSolveCommand:
             assert "term 'c'" in captured.err
             assert captured.out == ""
 
+    @pytest.mark.parametrize("link", ["log", "identity"])
+    def test_numeric_solve_and_verify_refuse_cauchy_moment(self, capsys, tmp_path, link):
+        # under log E[exp(beta X)], under identity E[X]: neither exists for a
+        # Cauchy X, so a sample would balance, or verify, a mean that
+        # converges to nothing (verify passed any beta0 on its huge se)
+        path = tmp_path / "cauchy_numeric.yaml"
+        path.write_text(
+            f"link: {link}\ntarget_mean: 0.5\n"
+            "outcome: {family: normal, sd: 0.1}\n"
+            "covariates:\n  - {name: c, dist: cauchy, location: 0.0, scale: 1.0, beta: 0.5}\n"
+            "solver: numeric\nengine: mc\n"
+        )
+        for command in (["solve"], ["verify", "--beta0=-3"]):
+            for n_mc in ("1000", "100000"):
+                assert main([*command, "--config", str(path), "--n-mc", n_mc]) == 2
+                captured = capsys.readouterr()
+                assert "term 'c'" in captured.err
+                assert captured.out == ""
+
     def test_divergent_gamma_exits_2(self, capsys, tmp_path):
         path = tmp_path / "gamma.yaml"
         path.write_text(

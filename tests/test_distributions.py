@@ -154,9 +154,12 @@ class _FixedUniforms:
     def generator(self):
         return self
 
-    def random(self, n):
+    def random(self, n, out=None):
         assert n == self.u.size
-        return self.u.copy()
+        if out is None:
+            return self.u.copy()
+        out[...] = self.u
+        return out
 
 
 @st.composite
@@ -351,3 +354,34 @@ class TestSampleReproducibility:
         c = spec.sample(256, RngStream(77, (1, 3)))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+_NUMPY_SAMPLERS = [
+    (Bernoulli(0.3), lambda g, n: (g.random(n) < 0.3).astype(float)),
+    (UniformContinuous(-1.0, 3.0), lambda g, n: g.uniform(-1.0, 3.0, n)),
+    (Normal(0.7, 2.5), lambda g, n: g.normal(0.7, 2.5, n)),
+    (Gamma(1.3, 1.5), lambda g, n: g.gamma(1.3, 1.0 / 1.5, n)),
+    (Cauchy(-2.0, 0.4), lambda g, n: -2.0 + 0.4 * g.standard_cauchy(n)),
+]
+
+
+class TestSampleIntoBuffer:
+    """sample(out=) fills the caller's buffer with the bits numpy's own sampler gives."""
+
+    @pytest.mark.parametrize("spec, numpy_sampler", _NUMPY_SAMPLERS, ids=lambda v: getattr(v, "kind", ""))
+    @pytest.mark.parametrize("n", [1, 7, 4099])
+    def test_bits_equal_numpy_sampler_with_and_without_out(self, spec, numpy_sampler, n):
+        rng = RngStream(31, (n,))
+        expected = numpy_sampler(rng.generator(), n)
+        out = np.full(n, 9.5)
+        assert spec.sample(n, rng, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert spec.sample(n, rng).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("probs", [(1.0,), (0.5, 0.35, 0.15), (0.1,) * 10])
+    def test_categorical_levels_are_an_int64_view_of_out(self, probs):
+        spec = Categorical(probs=probs)
+        out = np.full(4099, 9.5)
+        lv = spec.sample(4099, RngStream(32), out=out)
+        assert lv.dtype == np.int64 and np.shares_memory(lv, out)
+        assert np.array_equal(lv, spec.sample(4099, RngStream(32)))

@@ -618,11 +618,21 @@ class TestTermContributions:
 
 
 def _oracle_solve_numeric(dgp, engine, tol, rng):
-    """solve_numeric as it ran before the interval filter: one full pass per test."""
+    """solve_numeric as it ran before the interval filter: one full pass per test.
+
+    Its draws come from fresh spec.sample calls, not from the workspace the
+    solver borrows, so a solver that aliased its buffers would disagree.
+    """
     target = dgp.target_mean
     link = dgp.link
     if isinstance(engine, MonteCarlo):
-        eta = intercept_mod._eta_draws(dgp, engine.n_mc, rng)
+        eta = np.zeros(engine.n_mc)
+        for j, term in enumerate(dgp.terms):
+            values = term.spec.sample(engine.n_mc, rng.child(j))
+            if isinstance(term.spec, Categorical):
+                eta += (term.spec.rows() @ term.betas)[values]
+            else:
+                eta += term.beta * values
 
         def evaluate(b0):
             mu = link.invert(eta + b0)
@@ -696,7 +706,7 @@ def _solve_outcome(solver, dgp, engine, tol, seed):
     """Every InterceptSolution field as hex, or the error's type and message."""
     try:
         sol = solver(dgp, engine, tol, RngStream(seed))
-    except NoRootError as e:
+    except (NoRootError, NoMgfError, MgfDomainError, UndefinedMomentError) as e:
         return type(e).__name__, str(e)
     return (
         sol.beta0.hex(),
@@ -710,6 +720,24 @@ def _solve_outcome(solver, dgp, engine, tol, seed):
 
 def _filtered(dgp, engine, tol, rng):
     return solve_numeric(dgp, engine=engine, tol=tol, rng=rng)
+
+
+def _undefined_moment(dgp):
+    """(error name, term name) for the first term whose balanced moment does not exist, else None.
+
+    Taken from the distributions' definitions: under log, E[exp(beta X)] is
+    infinite for a Cauchy X at beta != 0 and a gamma X at beta >= rate; under
+    identity a Cauchy X has no mean. Every logit expectation exists.
+    """
+    for term in dgp.terms:
+        spec = term.spec
+        if isinstance(dgp.link, Log) and isinstance(spec, Cauchy) and term.beta != 0.0:
+            return "NoMgfError", term.name
+        if isinstance(dgp.link, Log) and isinstance(spec, Gamma) and term.beta >= spec.rate:
+            return "MgfDomainError", term.name
+        if isinstance(dgp.link, Identity) and isinstance(spec, Cauchy):
+            return "UndefinedMomentError", term.name
+    return None
 
 
 _SUPPFIG1_Z = (
@@ -780,18 +808,24 @@ class TestFilteredBisection:
     @given(_random_dgps(), st.integers(0, 2**32 - 1))
     @example(  # bounds taken from swapped bin edges decide a step wrongly here
         (
-            DgpSpec((Term("x0", Cauchy(0.0, 1.0), 1.0),), Log(), NormalOutcome(1.0), 1e-7),
+            DgpSpec((Term("x0", Cauchy(0.0, 1.0), 1.0),), Logit(), NormalOutcome(1.0), 1e-7),
             MonteCarlo(200),
             1e-9,
         ),
         0,
     )
     def test_bits_on_random_dgps(self, case, seed):
+        # a term whose balanced moment does not exist is refused on both
+        # sides: by the solver, and by _undefined_moment for the oracle
         dgp, engine, tol = case
+        refusal = _undefined_moment(dgp)
         with np.errstate(all="ignore"):
             filtered = _solve_outcome(_filtered, dgp, engine, tol, seed)
-            oracle = _solve_outcome(_oracle_solve_numeric, dgp, engine, tol, seed)
-        assert filtered == oracle
+            if refusal is None:
+                assert filtered == _solve_outcome(_oracle_solve_numeric, dgp, engine, tol, seed)
+        if refusal is not None:
+            assert filtered[0] == refusal[0]
+            assert filtered[1].startswith(f"term '{refusal[1]}': ")
 
     @pytest.mark.parametrize("engine", [ExactEnumeration(), MonteCarlo(2000)], ids=["exact", "mc"])
     def test_exhausted_bisection_keeps_its_message(self, engine):
@@ -922,3 +956,155 @@ class TestFrozenDrawsInterval:
         lo, hi = draws.interval(-2.0)
         assert lo <= draws.mean(-2.0) <= hi
         assert hi - lo <= 0.01
+
+
+class TestNumericMomentRefusal:
+    """solve_numeric refuses a term whose balanced moment does not exist, before any draw."""
+
+    @pytest.mark.parametrize(
+        "link, term, error",
+        [
+            (Log(), Term("c", Cauchy(0.0, 1.0), 0.5), NoMgfError),
+            (Log(), Term("c", Gamma(1.0, 1.5), 2.0), MgfDomainError),
+            (Identity(), Term("c", Cauchy(0.0, 1.0), 0.5), UndefinedMomentError),
+        ],
+        ids=["log-cauchy", "log-gamma", "identity-cauchy"],
+    )
+    @pytest.mark.parametrize("n_mc", [1000, 100_000])
+    def test_refused_by_name_before_drawing(self, monkeypatch, link, term, error, n_mc):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a sample for a moment that does not exist")
+
+        monkeypatch.setattr(intercept_mod, "_eta_draws", no_draws)
+        dgp = DgpSpec((CAT_TERM, term), link, NormalOutcome(1.0), 0.5)
+        for seed in (1, 2):
+            with pytest.raises(error, match="term 'c'"):
+                solve(dgp, "numeric", engine=MonteCarlo(n_mc), rng=RngStream(seed))
+        assert error.exit_code == 2
+
+    def test_logit_cauchy_still_solves(self):
+        dgp = DgpSpec((Term("c", Cauchy(0.0, 1.0), 0.5),), Logit(), BernoulliOutcome(), 0.3)
+        sol = solve_numeric(dgp, engine=MonteCarlo(10_000), rng=RngStream(1))
+        assert sol.residual <= intercept_mod.DEFAULT_TOL_MC
+        assert math.isfinite(sol.beta0)
+
+    def test_cauchy_at_beta_zero_keeps_its_log_moment(self):
+        # E[exp(0 X)] = 1 exists for any X
+        dgp = DgpSpec((CAT_TERM, Term("c", Cauchy(0.0, 1.0), 0.0)), Log(), NormalOutcome(1.0), 0.5)
+        sol = solve_numeric(dgp, engine=MonteCarlo(1000), rng=RngStream(1))
+        assert sol.beta0 == pytest.approx(LOG_BETA0, abs=0.05)
+
+
+def _cells_for_workspace():
+    return _logit_cells(betas=(1.0, 3.0), targets=(0.1, 0.5, 0.9))
+
+
+def _solve_hex(dgp, n_mc, seed):
+    return _solve_outcome(_filtered, dgp, MonteCarlo(n_mc), intercept_mod.DEFAULT_TOL_MC, seed)
+
+
+class TestWorkspace:
+    def test_second_solve_allocates_less_than_one_draw_array(self):
+        import tracemalloc
+
+        dgp = _logit_cells(betas=(2.0,), targets=(0.3,))[0]  # categorical x plus Bernoulli z
+        solve_numeric(dgp, engine=MonteCarlo(100_000), rng=RngStream(1))
+        tracemalloc.start()
+        try:
+            solve_numeric(dgp, engine=MonteCarlo(100_000), rng=RngStream(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000 * 8
+
+    def test_back_to_back_n_mc_match_fresh_processes(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        cells = _cells_for_workspace()
+        runs = [(3, 2000), (17, 30_000), (3, 2000), (22, 5000), (17, 30_000)]
+        here = [_solve_hex(cells[k], n_mc, k) for k, n_mc in runs]
+        assert here[0] == here[2] and here[1] == here[4]
+        src = str(Path(intercept_mod.__file__).resolve().parents[1])
+        script = (
+            "import sys, test_intercept as t\n"
+            "k, n = int(sys.argv[1]), int(sys.argv[2])\n"
+            "print(repr(t._solve_hex(t._cells_for_workspace()[k], n, k)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)])}
+        for (k, n_mc), got in zip(runs[:2] + runs[3:4], here[:2] + here[3:4]):
+            fresh = subprocess.run(
+                [sys.executable, "-c", script, str(k), str(n_mc)],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+            assert fresh == repr(got)
+
+    def test_threads_solving_at_once_match_sequential_bits(self):
+        import sys
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        cells = _cells_for_workspace()
+        # one n_mc for all, so that a shared set would be reused, not replaced;
+        # three threads on a 2-vCPU box, switching often
+        jobs = [[(dgp, 20_000, 100 * w + k) for k, dgp in enumerate(cells)] for w in range(3)]
+        sequential = [[_solve_hex(*job) for job in js] for js in jobs]
+        start = threading.Barrier(len(jobs), timeout=60)
+
+        def run(js):
+            start.wait()
+            return [_solve_hex(*job) for job in js]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(run, js) for js in jobs]
+                concurrent = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == sequential
+
+    def test_each_thread_keeps_its_own_set(self):
+        import threading
+
+        with expectation_mod.WORKSPACE.borrow(64) as main:
+            pass
+        seen = []
+
+        def borrow():
+            with expectation_mod.WORKSPACE.borrow(64) as arrays:
+                seen.extend(arrays)
+
+        worker = threading.Thread(target=borrow)
+        worker.start()
+        worker.join()
+        assert len(seen) == 3
+        assert not any(np.shares_memory(a, b) for a in main for b in seen)
+
+    def test_nested_or_unreturned_borrow_gets_fresh_arrays(self):
+        ws = expectation_mod.Workspace()
+        with ws.borrow(64) as kept:
+            with ws.borrow(64) as nested:
+                assert not any(np.shares_memory(a, b) for a in kept for b in nested)
+        with ws.borrow(64) as again:
+            assert all(a is b for a, b in zip(kept, again))
+        held = ws.borrow(64)
+        lent = held.__enter__()
+        with ws.borrow(64) as other:
+            assert not any(np.shares_memory(a, b) for a in lent for b in other)
+        held.__exit__(None, None, None)
+        with ws.borrow(32) as resized:
+            assert [a.size for a in resized] == [32] * 3
+            assert len({id(a) for a in resized}) == 3
+
+    def test_frozen_draws_without_buffers_allocates_its_own(self):
+        eta = np.linspace(-2.0, 2.0, 101)
+        a = expectation_mod.FrozenDraws(Logit(), eta)
+        work = (np.empty_like(eta), np.empty_like(eta))
+        b = expectation_mod.FrozenDraws(Logit(), eta, work)
+        assert (a.mean(0.3), a.se(0.3)) == (b.mean(0.3), b.se(0.3))
+        assert b.x is work[0] and b.mu is work[1]
+        assert a.se(0.3) == float(a.mu.std(ddof=1) / math.sqrt(eta.size))

@@ -154,6 +154,44 @@ class TestLogitBranchFree:
         assert (math.isnan(new) and math.isnan(old)) or new.hex() == old.hex()
 
 
+def _two_exp_logit_invert(eta):
+    """The earlier branch-free Logit.invert, exp(min(e, 0)) / (1 + exp(-|e|)), as the oracle."""
+    e = np.asarray(eta, dtype=float)
+    den = np.exp(-np.abs(e)) + 1.0
+    return np.exp(np.minimum(e, 0.0)) / den
+
+
+_ANY_DOUBLE = st.integers(-(2**63), 2**63 - 1).map(lambda i: float(np.int64(i).view(np.float64)))
+_ONE_EXP_EDGES = _LOGIT_EDGES + [-math.nan, float(np.int64(0x7FF0000000000001).view(np.float64)),
+                                 float(np.int64(-1).view(np.float64)), -2.2250738585072014e-308]
+
+
+class TestLogitOneExp:
+    """One exp pass, max(t, [e >= 0]) / (1 + t) with t = exp(-|e|), against the two-exp form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), _ANY_DOUBLE, st.sampled_from(_ONE_EXP_EDGES)), max_size=70))
+    def test_bits_equal_the_two_exp_form_on_every_path(self, values):
+        # NaN sign and payload included, so the views compare every bit
+        eta = np.array(values + _ONE_EXP_EDGES)
+        old = _two_exp_logit_invert(eta).view(np.int64)
+        assert np.array_equal(Logit().invert(eta).view(np.int64), old)
+        out, scratch = np.full_like(eta, 7.0), np.full_like(eta, 7.0)
+        assert Logit().invert(eta, out=out, scratch=scratch) is out
+        assert np.array_equal(out.view(np.int64), old)
+        in_place = eta.copy()
+        Logit().invert(in_place, out=in_place)
+        assert np.array_equal(in_place.view(np.int64), old)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(), _ANY_DOUBLE, st.sampled_from(_ONE_EXP_EDGES)))
+    def test_scalar_bits_equal_the_two_exp_form(self, eta):
+        new = Logit().invert(eta)
+        assert type(new) is float
+        old = _two_exp_logit_invert(np.array([eta]))
+        assert np.array([new]).view(np.int64)[0] == old.view(np.int64)[0]
+
+
 class TestOutContract:
     @pytest.mark.parametrize("link", LINKS, ids=lambda l: l.name)
     def test_returns_out_and_leaves_input(self, link):
