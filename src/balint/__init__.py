@@ -10,7 +10,6 @@ from .coding import (
     Effect,
     ReferenceCell,
     WeightedEffect,
-    categorical_expectation,
     coding_by_name,
 )
 from .datagen import Column, Dataset, generate

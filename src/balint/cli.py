@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import MISSING, fields
 from typing import NamedTuple, Optional, Sequence
@@ -175,8 +176,8 @@ def _parse_tol(doc: dict, where: str) -> Optional[float]:
     if "tol" not in doc:
         return None
     tol = _num(doc["tol"], "tol", where)
-    if not tol > 0.0:
-        raise ConfigError(f"key 'tol' in {where} must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"key 'tol' in {where} must be positive and finite, got {tol}")
     return tol
 
 
@@ -331,6 +332,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     parsed = parse_dgp_config(_apply_overrides(load_config(args.config), args))
+    if not math.isfinite(args.beta0):
+        raise ConfigError(f"--beta0 must be finite, got {args.beta0}")
     rng = RngStream(parsed.master_seed).child(1)
     value, se = expectation_of_mean(args.beta0, parsed.dgp, engine=parsed.engine, rng=rng)
     gap = abs(value - parsed.dgp.target_mean)

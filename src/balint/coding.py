@@ -1,4 +1,4 @@
-"""Categorical coding schemes and exact expectations over categorical supports.
+"""Categorical coding schemes.
 
 A p-level categorical enters the linear predictor through p-1 encoded columns.
 The three schemes here differ only in the row assigned to level 0: all zeros
@@ -11,7 +11,7 @@ explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "WeightedEffect",
     "CodingScheme",
     "coding_by_name",
-    "categorical_expectation",
 ]
 
 
@@ -31,9 +30,10 @@ def _check_probs(probs: np.ndarray, where: str) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size < 1:
         raise SpecError(f"{where}: probs must be a nonempty vector")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise SpecError(f"{where}: probabilities must lie in [0, 1]")
-    if abs(float(probs.sum()) - 1.0) > 1e-12:
+    # written so that a NaN fails each test
+    if not np.all((0.0 <= probs) & (probs <= 1.0)):
+        raise SpecError(f"{where}: probs must lie in [0, 1], got {probs.tolist()}")
+    if not abs(float(probs.sum()) - 1.0) <= 1e-12:
         raise SpecError(f"{where}: probabilities must sum to 1 within 1e-12")
     return probs
 
@@ -94,24 +94,3 @@ def coding_by_name(name: str) -> CodingScheme:
 def _check_levels(p: int) -> None:
     if p < 1:
         raise SpecError("a categorical needs at least one level")
-
-
-def categorical_expectation(
-    probs: Sequence[float],
-    betas: Sequence[float],
-    scheme: CodingScheme,
-    f: Callable[[float], float],
-) -> float:
-    """E[f(beta' X)] for an encoded categorical: the exact p-term weighted sum.
-
-    With reference-cell coding and f = exp this is sum_i pi_i * exp(beta_i)
-    where the reference level's beta is fixed at 0.
-    """
-    pr = _check_probs(np.asarray(probs, dtype=float), "categorical_expectation")
-    b = np.asarray(betas, dtype=float)
-    if b.ndim != 1 or b.size != pr.size - 1:
-        raise SpecError(
-            f"categorical_expectation: betas must have length {pr.size - 1}, got {b.size}"
-        )
-    etas = scheme.rows(pr.size, pr) @ b
-    return float(sum(p_i * float(f(float(e))) for p_i, e in zip(pr, etas)))

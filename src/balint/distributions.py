@@ -1,10 +1,13 @@
 """Covariate distributions: sampling, exact means, and exponential moments.
 
-Each distribution is a frozen spec object that can sample itself, report its
-mean, and evaluate its moment generating function where one exists. The MGF is
-what the log-link intercept solver consumes; distributions without one (Cauchy
-everywhere except t=0, and gamma outside t < rate) raise typed errors, which
-the solver reports as a balancing intercept that does not exist.
+Each distribution is a frozen spec object that can sample itself. A
+continuous one also reports its mean and evaluates its moment generating
+function where one exists. The MGF is what the log-link intercept solver
+consumes; distributions without one (Cauchy everywhere except t=0, and gamma
+outside t < rate) raise typed errors, which the solver reports as a balancing
+intercept that does not exist. A categorical's moments depend on its coding
+and coefficient block, so its term computes them (intercept.Term). Every
+parameter must be finite.
 
 Randomness is addressed, never ambient: every sampling entry point takes an
 RngStream, a small immutable descriptor (master seed plus derivation path)
@@ -23,7 +26,7 @@ applies, in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -72,6 +75,13 @@ class RngStream:
         return np.random.default_rng(seq)
 
 
+def _check_finite(spec) -> None:
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if not math.isfinite(value):
+            raise SpecError(f"{spec.kind} {f.name} must be finite, got {value}")
+
+
 def _check_n(n: int) -> int:
     n = int(n)
     if n < 1:
@@ -85,6 +95,7 @@ class Bernoulli:
     kind = "bernoulli"
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not 0.0 <= self.p <= 1.0:
             raise SpecError(f"bernoulli probability must lie in [0, 1], got {self.p}")
 
@@ -110,6 +121,7 @@ class UniformContinuous:
     kind = "uniform"
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.a < self.b:
             raise SpecError(f"uniform bounds must satisfy a < b, got [{self.a}, {self.b}]")
 
@@ -137,6 +149,7 @@ class Normal:
     kind = "normal"
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.sigma > 0.0:
             raise SpecError(f"normal sigma must be positive, got {self.sigma}")
 
@@ -161,6 +174,7 @@ class Gamma:
     kind = "gamma"
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.shape > 0.0:
             raise SpecError(f"gamma shape must be positive, got {self.shape}")
         if not self.rate > 0.0:
@@ -192,6 +206,7 @@ class Cauchy:
     kind = "cauchy"
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.scale > 0.0:
             raise SpecError(f"cauchy scale must be positive, got {self.scale}")
 
@@ -254,16 +269,6 @@ class Categorical:
         for above in counted:
             lv += above
         return lv
-
-    def mean(self) -> np.ndarray:
-        """Probability-weighted encoded row: the expectation of the design block."""
-        return np.asarray(self.probs) @ self.rows()
-
-    def mgf(self, t: float) -> float:
-        raise SpecError(
-            "a coded categorical has no scalar MGF; use "
-            "coding.categorical_expectation with f=exp instead"
-        )
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         return np.arange(self.p), np.asarray(self.probs)

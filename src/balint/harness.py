@@ -160,9 +160,14 @@ class GridConfig:
         for axis in ("beta2_axis", "target_axis"):
             seen = set()
             for v in getattr(self, axis):
+                if not math.isfinite(v):
+                    raise ConfigError(f"{axis} must hold finite values, got {v}")
                 if float(v) in seen:
                     raise ConfigError(f"{axis} repeats the value {float(v)}")
                 seen.add(float(v))
+        # refused here, not by each cell's RngStream, which would make every row an error
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}")
         if self.workers < 0:
             raise ConfigError(f"workers must be nonnegative (0 = auto), got {self.workers}")
 

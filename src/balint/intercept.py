@@ -35,7 +35,6 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .coding import categorical_expectation
 from .distributions import Categorical, CovariateSpec, RngStream
 from .errors import (
     EngineMismatchError,
@@ -111,8 +110,8 @@ class NormalOutcome:
     family = "normal"
 
     def __post_init__(self) -> None:
-        if not self.sd > 0.0:
-            raise SpecError(f"normal outcome sd must be positive, got {self.sd}")
+        if not 0.0 < self.sd < math.inf:
+            raise SpecError(f"normal outcome sd must be positive and finite, got {self.sd}")
 
 
 @dataclass(frozen=True)
@@ -156,6 +155,8 @@ class Term:
             if isinstance(self.beta, (tuple, list)):
                 raise SpecError(f"term '{self.name}': continuous covariate takes a scalar coefficient")
             object.__setattr__(self, "beta", float(self.beta))
+        if not np.all(np.isfinite(self.betas)):
+            raise SpecError(f"term '{self.name}': beta must be finite, got {self.beta}")
 
     @property
     def betas(self) -> np.ndarray:
@@ -176,6 +177,29 @@ class Term:
             # default "raise" it writes into out without a buffered copy
             return np.take(self._level_eta, values, out=out, mode="clip")
         return np.multiply(self.beta, values, out=out)
+
+    def mean(self) -> float:
+        """E[beta' X]; raises, naming the term, where the mean does not exist."""
+        if isinstance(self.spec, Categorical):
+            return float(sum(p * e for p, e in zip(self.spec.probs, self._level_eta)))
+        try:
+            return self.beta * self.spec.mean()
+        except UndefinedMomentError as e:
+            raise UndefinedMomentError(f"term '{self.name}': {e}") from None
+
+    def exp_moment(self) -> float:
+        """E[exp(beta' X)], inf where it overflows a double and 0.0 where it underflows.
+
+        Raises, naming the term, where no moment exists.
+        """
+        try:
+            if isinstance(self.spec, Categorical):
+                return float(sum(p * math.exp(e) for p, e in zip(self.spec.probs, self._level_eta)))
+            return self.spec.mgf(self.beta)
+        except (MgfDomainError, NoMgfError) as e:
+            raise type(e)(f"term '{self.name}': {e}") from None
+        except OverflowError:
+            return math.inf
 
 
 def draw_terms(
@@ -261,36 +285,9 @@ class InterceptSolution:
     warnings: frozenset[str] = frozenset()
 
 
-def _exp_moment(term: Term) -> float:
-    """E[exp(beta' X)] for one term by closed form, inf where it overflows a double.
-
-    A moment that underflows comes back as 0.0; raises where none exists.
-    """
-    spec = term.spec
-    try:
-        if isinstance(spec, Categorical):
-            return categorical_expectation(spec.probs, term.beta, spec.coding, math.exp)
-        return spec.mgf(term.beta)
-    except (MgfDomainError, NoMgfError) as e:
-        raise type(e)(f"term '{term.name}': {e}") from None
-    except OverflowError:
-        return math.inf
-
-
-def _mean(term: Term) -> float:
-    """E[beta' X] for one term; raises where the mean does not exist."""
-    spec = term.spec
-    if isinstance(spec, Categorical):
-        return categorical_expectation(spec.probs, term.beta, spec.coding, lambda v: v)
-    try:
-        return term.beta * spec.mean()
-    except UndefinedMomentError as e:
-        raise UndefinedMomentError(f"term '{term.name}': {e}") from None
-
-
 def _exact_exp_moment(term: Term) -> float:
     """E[exp(beta' X)] for one term; raises where none exists or it is not a positive double."""
-    moment = _exp_moment(term)
+    moment = term.exp_moment()
     if moment == math.inf:
         raise InfeasibleError(f"term '{term.name}': E[exp(beta' X)] overflows a double")
     if moment == 0.0:
@@ -309,7 +306,7 @@ def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
     g = dgp.link.apply(dgp.target_mean)
     s = 0.0
     for term in dgp.terms:
-        s += _mean(term)
+        s += term.mean()
     beta0 = g - s
     if isinstance(dgp.link, Identity):
         return InterceptSolution(
@@ -323,7 +320,7 @@ def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
     residual = math.nan
     if isinstance(dgp.link, Log):
         try:
-            moments = [_exp_moment(term) for term in dgp.terms]
+            moments = [term.exp_moment() for term in dgp.terms]
         except NoMgfError:
             warnings.add("residual_unverified")
         except MgfDomainError:
@@ -430,9 +427,9 @@ def _check_moments(dgp: DgpSpec) -> None:
     """
     for term in dgp.terms:
         if isinstance(dgp.link, Log):
-            _exp_moment(term)
+            term.exp_moment()
         elif isinstance(dgp.link, Identity):
-            _mean(term)
+            term.mean()
 
 
 @contextmanager
@@ -501,8 +498,8 @@ def solve_numeric(
     """
     if tol is None:
         tol = default_tol(engine)
-    if not tol > 0.0:
-        raise SpecError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise SpecError(f"tol must be positive and finite, got {tol}")
     with _expectation(dgp, engine, rng) as expectation:
         return _bisect(expectation, dgp.link, dgp.target_mean, tol)
 

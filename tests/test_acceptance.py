@@ -32,7 +32,6 @@ from balint import (
     Term,
     UniformContinuous,
     WeightedEffect,
-    categorical_expectation,
     generate,
     solve_linear_scale,
     solve_log_closed_form,
@@ -269,15 +268,15 @@ def test_criterion_7_coding_properties():
     for p in range(2, 7):
         probs = tuple(1.0 / p for _ in range(p))
         betas = tuple(float(b) for b in rng.uniform(-2.0, 2.0, p - 1))
-        centred = categorical_expectation(probs, betas, Effect(), lambda e: e)
+        centred = Term("x", Categorical(probs=probs, coding=Effect()), betas).mean()
         assert abs(centred) <= 1e-12
     for i in range(50):
         p = int(rng.integers(2, 6))
         probs = rng.dirichlet(np.ones(p))
         betas = rng.uniform(-1.0, 1.0, p - 1)
         scheme = (ReferenceCell(), Effect(), WeightedEffect())[i % 3]
-        exact = categorical_expectation(probs, betas, scheme, math.exp)
         spec = Categorical(probs=tuple(probs.tolist()), coding=scheme)
+        exact = Term("x", spec, tuple(betas)).exp_moment()
         levels = spec.sample(1_000_000, RngStream(496, (i,)))
         draws = np.exp(scheme.rows(p, probs)[levels] @ betas)
         se = draws.std(ddof=1) / math.sqrt(draws.size)

@@ -251,6 +251,11 @@ class TestParseGridConfig:
         assert cfg.engine == MonteCarlo(5000)
         assert cfg == dataclasses.replace(mini_grid(), solver="numeric", engine=MonteCarlo(5000))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_is_config_error(self, seed):
+        with pytest.raises(ConfigError, match="master_seed"):
+            dataclasses.replace(mini_grid(), master_seed=seed)
+
     def test_unknown_engine(self):
         doc = yaml.safe_load(GRID_DOC)
         doc["engine"] = "quadrature"
@@ -446,6 +451,39 @@ class TestSolveCommand:
         assert float(row["beta0"]) > 709.0
         assert row["residual"] == residual
 
+    @pytest.mark.parametrize(
+        "covariate, message",
+        [
+            ("{name: z, dist: normal, mu: 0.0, sigma: 1.0, beta: .nan}", "term 'z': beta must be finite"),
+            ("{name: z, dist: normal, mu: .nan, sigma: 1.0, beta: 1.0}", "normal mu must be finite"),
+            ("{name: z, dist: uniform, a: -.inf, b: 1.0, beta: 1.0}", "uniform a must be finite"),
+            (
+                "{name: z, dist: categorical, probs: [.nan, 0.5, 0.5], betas: [0.1, 0.2]}",
+                "probs must lie in [0, 1], got [nan, 0.5, 0.5]",
+            ),
+        ],
+        ids=["beta", "mu", "uniform_a", "probs"],
+    )
+    @pytest.mark.parametrize("solver", ["log_closed_form", "numeric"])
+    def test_non_finite_input_exits_1(self, capsys, tmp_path, covariate, message, solver):
+        path = tmp_path / "nan.yaml"
+        path.write_text(
+            "link: log\ntarget_mean: 0.5\n"
+            "outcome: {family: normal, sd: 0.1}\n"
+            f"covariates:\n  - {covariate}\n"
+            f"solver: {solver}\n"
+        )
+        assert main(["solve", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_non_finite_outcome_sd_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "sd.yaml"
+        path.write_text(DGP_DOC.replace("sd: 0.1", "sd: .inf"))
+        assert main(["solve", "--config", str(path)]) == 1
+        assert "sd must be positive and finite" in capsys.readouterr().err
+
     def test_zero_coefficients_numeric(self, capsys, tmp_path):
         path = tmp_path / "flat.yaml"
         path.write_text(
@@ -475,6 +513,19 @@ class TestVerifyCommand:
     def test_loose_tol_accepts_the_gap(self, capsys, dgp_config):
         code = main(["verify", "--config", dgp_config, "--beta0", "0.0", "--tol", "10"])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--beta0", "nan", "--beta0 must be finite"),
+            ("--beta0", "inf", "--beta0 must be finite"),
+            ("--tol", "inf", "'tol' in dgp config must be positive and finite"),
+        ],
+    )
+    def test_non_finite_flag_exits_1(self, capsys, dgp_config, flag, value, message):
+        argv = ["verify", "--config", dgp_config, "--beta0", "0.0", flag, value]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
     def test_monte_carlo_verification(self, capsys, dgp_config):
         code = main(
@@ -523,7 +574,7 @@ class TestSimulateCommand:
         out = tmp_path / "rows.csv"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert "9 failed" in capsys.readouterr().err
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert len(rows) == 72
         for r in rows:
             if r["z_dist"] == "normal" and r["beta2"] == "40":
@@ -548,6 +599,31 @@ class TestSimulateCommand:
         assert "beta2_axis repeats the value 1.0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_exits_1_without_csv(self, capsys, grid_config, tmp_path, seed):
+        out = tmp_path / "o.csv"
+        argv = ["simulate", "--config", grid_config, "--out", str(out)]
+        assert main([*argv, "--seed", str(seed)]) == 1
+        assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
+        doc = load_config(grid_config)
+        doc["master_seed"] = seed
+        config = tmp_path / "seed.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_axis_value_exits_1(self, capsys, grid_config, tmp_path):
+        doc = load_config(grid_config)
+        doc["beta2_axis"] = [1.0, float("nan")]
+        config = tmp_path / "nan_axis.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert "beta2_axis" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_replicate_and_seed_overrides_land_in_rows(self, capsys, grid_config, tmp_path):
         out = tmp_path / "o.csv"
         main(
@@ -564,7 +640,7 @@ class TestSimulateCommand:
             ]
         )
         capsys.readouterr()
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert {r["replicates"] for r in rows} == {"3"}
         assert {r["master_seed"] for r in rows} == {"77"}
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from balint import (
     Categorical,
@@ -10,10 +10,11 @@ from balint import (
     ReferenceCell,
     RngStream,
     SpecError,
+    Term,
     WeightedEffect,
-    categorical_expectation,
     coding_by_name,
 )
+from balint.coding import _check_probs
 
 PROBS = (0.5, 0.35, 0.15)
 CAT_EXP_MOMENT = 1.0503005783177568  # 0.5 + 0.35*e^0.2 + 0.15*e^-0.2
@@ -76,29 +77,40 @@ class TestWeightedEffectZeroSum:
         )
 
 
+def categorical_expectation(probs, betas, scheme, f):
+    """E[f(beta' X)] for an encoded categorical, as balint computed it before Term did.
+
+    The bit-for-bit oracle for Term.mean and Term.exp_moment.
+    """
+    pr = _check_probs(np.asarray(probs, dtype=float), "categorical_expectation")
+    b = np.asarray(betas, dtype=float)
+    etas = scheme.rows(pr.size, pr) @ b
+    return float(sum(p_i * float(f(float(e))) for p_i, e in zip(pr, etas)))
+
+
+def cat_term(probs, betas, scheme):
+    return Term("x", Categorical(probs=tuple(probs), coding=scheme), tuple(betas))
+
+
 class TestCategoricalExpectation:
+    """A categorical term's moments, against closed forms and Monte Carlo."""
+
     def test_reference_cell_exp_oracle(self):
-        got = categorical_expectation(PROBS, (0.2, -0.2), ReferenceCell(), math.exp)
+        got = cat_term(PROBS, (0.2, -0.2), ReferenceCell()).exp_moment()
         assert got == pytest.approx(CAT_EXP_MOMENT, rel=1e-14)
 
     def test_zero_betas_with_exp(self):
-        assert categorical_expectation(PROBS, (0.0, 0.0), Effect(), math.exp) == 1.0
+        assert cat_term(PROBS, (0.0, 0.0), Effect()).exp_moment() == 1.0
 
     def test_identity_f_weighted_effect_centres(self):
         # E(beta' X) = 0 under probability-weighted coding, any betas
         for betas in [(1.0, -2.0), (0.3, 0.3), (-5.0, 4.0)]:
-            got = categorical_expectation(PROBS, betas, WeightedEffect(), lambda e: e)
+            got = cat_term(PROBS, betas, WeightedEffect()).mean()
             assert abs(got) <= 1e-12
 
     def test_identity_f_reference_cell(self):
-        got = categorical_expectation(PROBS, (0.2, -0.2), ReferenceCell(), lambda e: e)
+        got = cat_term(PROBS, (0.2, -0.2), ReferenceCell()).mean()
         assert got == pytest.approx(0.35 * 0.2 - 0.15 * 0.2, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(SpecError):
-            categorical_expectation(PROBS, (0.2,), ReferenceCell(), math.exp)
-        with pytest.raises(SpecError):
-            categorical_expectation(PROBS, (0.1, 0.2, 0.3), ReferenceCell(), math.exp)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_monte_carlo(self, seed):
@@ -109,12 +121,49 @@ class TestCategoricalExpectation:
         scheme = coding_by_name(
             ["reference_cell", "effect", "weighted_effect"][seed % 3]
         )
-        exact = categorical_expectation(probs, betas, scheme, math.exp)
+        exact = cat_term(probs, betas, scheme).exp_moment()
         spec = Categorical(probs=tuple(probs), coding=scheme)
         lv = spec.sample(200_000, RngStream(100 + seed))
         draws = np.exp(scheme.rows(p, probs)[lv] @ betas)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - exact) <= 4 * se
+
+
+@st.composite
+def _categorical_terms(draw):
+    """1-8 levels, some of zero probability, any coding, betas past exp's range."""
+    p = draw(st.integers(1, 8))
+    scheme = draw(st.sampled_from([ReferenceCell(), Effect(), WeightedEffect()]))
+    level = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    # weighted effect coding needs mass on the reference level
+    raw = [draw(st.floats(0.01, 1.0) if isinstance(scheme, WeightedEffect) else level)]
+    raw += draw(st.lists(level, min_size=p - 1, max_size=p - 1))
+    if sum(raw) == 0.0:
+        raw[-1] = 1.0
+    total = sum(raw)
+    probs = tuple(v / total for v in raw)
+    betas = tuple(draw(st.lists(st.floats(-800.0, 800.0), min_size=p - 1, max_size=p - 1)))
+    return probs, betas, scheme
+
+
+class TestMomentsMatchOldRoute:
+    @settings(max_examples=1000, deadline=None)
+    @given(_categorical_terms())
+    @example(((0.5, 0.5), (800.0,), ReferenceCell()))  # exp overflows
+    @example(((0.0, 1.0), (-800.0,), ReferenceCell()))  # exp underflows
+    @example(((1.0,), (), WeightedEffect()))  # one level, no coefficients
+    @example(((0.25, 0.0, 0.75), (3.0, -2.0), Effect()))  # a level of zero probability
+    def test_bit_equal_to_categorical_expectation(self, case):
+        probs, betas, scheme = case
+        term = cat_term(probs, betas, scheme)
+        # the old route raised OverflowError where exp did, which the solver read as inf
+        try:
+            old_exp = categorical_expectation(probs, betas, scheme, math.exp)
+        except OverflowError:
+            old_exp = math.inf
+        old_mean = categorical_expectation(probs, betas, scheme, lambda e: e)
+        assert term.exp_moment().hex() == old_exp.hex()
+        assert term.mean().hex() == old_mean.hex()
 
 
 class TestRegistry:

@@ -71,6 +71,20 @@ class TestConstruction:
     def test_categorical_block_length_checked(self):
         with pytest.raises(SpecError):
             Term("x", Categorical(probs=PROBS), (0.2,))
+        with pytest.raises(SpecError):
+            Term("x", Categorical(probs=PROBS), (0.1, 0.2, 0.3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(SpecError, match="term 'z': beta must be finite"):
+            Term("z", Normal(0.0, 1.0), bad)
+        with pytest.raises(SpecError, match="term 'x': beta must be finite"):
+            Term("x", Categorical(probs=PROBS), (0.2, bad))
+
+    @pytest.mark.parametrize("sd", [math.nan, math.inf, 0.0, -1.0])
+    def test_normal_outcome_sd_positive_and_finite(self, sd):
+        with pytest.raises(SpecError, match="normal outcome sd"):
+            NormalOutcome(sd)
 
     def test_betas_always_a_vector(self):
         assert Term("x", Normal(0.0, 1.0), 0.3).betas.tolist() == [0.3]
@@ -97,6 +111,26 @@ class TestConstruction:
     def test_monte_carlo_engine_validation(self):
         with pytest.raises(SpecError):
             MonteCarlo(n_mc=1)
+
+
+class TestTermMoments:
+    def test_continuous_moments_come_from_the_spec(self):
+        term = Term("z", Normal(0.3, 1.0), 2.0)
+        assert term.mean() == 2.0 * 0.3
+        assert term.exp_moment() == Normal(0.3, 1.0).mgf(2.0)
+
+    def test_overflow_is_inf_and_underflow_zero(self):
+        assert Term("z", Normal(0.0, 1.0), 40.0).exp_moment() == math.inf
+        assert Term("c", Categorical(probs=(0.5, 0.5)), (800.0,)).exp_moment() == math.inf
+        assert Term("c", Categorical(probs=(0.0, 1.0)), (-800.0,)).exp_moment() == 0.0
+
+    def test_missing_moments_name_the_term(self):
+        with pytest.raises(UndefinedMomentError, match="term 'c'"):
+            Term("c", Cauchy(0.0, 1.0), 1.0).mean()
+        with pytest.raises(NoMgfError, match="term 'c'"):
+            Term("c", Cauchy(0.0, 1.0), 1.0).exp_moment()
+        with pytest.raises(MgfDomainError, match="term 'g'"):
+            Term("g", Gamma(1.0, 1.5), 2.0).exp_moment()
 
 
 class TestLinearScale:
@@ -404,8 +438,9 @@ class TestSolveNumeric:
             solve_numeric(dgp)
 
     def test_tol_validation(self):
-        with pytest.raises(SpecError):
-            solve_numeric(cat_dgp(), tol=0.0)
+        for tol in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(SpecError):
+                solve_numeric(cat_dgp(), tol=tol)
 
     def test_monte_carlo_needs_rng(self):
         with pytest.raises(SpecError):
