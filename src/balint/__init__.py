@@ -5,15 +5,9 @@ hit a target marginal outcome mean, generate data from the solved model, and
 verify the result by Monte Carlo replication.
 """
 
-from .coding import (
-    CodingScheme,
-    Effect,
-    ReferenceCell,
-    WeightedEffect,
-    coding_by_name,
-)
 from .datagen import Column, Dataset, generate
 from .distributions import (
+    CODINGS,
     Bernoulli,
     Categorical,
     Cauchy,
@@ -30,7 +24,6 @@ from .errors import (
     InfeasibleError,
     LinkDomainError,
     MgfDomainError,
-    NoMgfError,
     NoRootError,
     OutOfRangeError,
     SpecError,
@@ -51,9 +44,8 @@ from .harness import (
     write_csv,
 )
 from .intercept import (
+    CLAMPS,
     BernoulliOutcome,
-    ClampPolicy,
-    ClampToUnit,
     DgpSpec,
     Engine,
     ExactEnumeration,
@@ -61,7 +53,6 @@ from .intercept import (
     MonteCarlo,
     NormalOutcome,
     OutcomeFamily,
-    RejectOutOfRange,
     Term,
     expectation_of_mean,
     solve,

@@ -24,13 +24,11 @@ from .distributions import (
     Bernoulli,
     Categorical,
     Cauchy,
-    CovariateSpec,
     Gamma,
     Normal,
     RngStream,
     UniformContinuous,
 )
-from .coding import coding_by_name
 from .errors import ConfigError, Error
 from .harness import GridConfig, run_grid, summarize, write_csv
 from .intercept import (
@@ -40,10 +38,8 @@ from .intercept import (
     ExactEnumeration,
     MonteCarlo,
     NormalOutcome,
-    OutcomeFamily,
     SOLVER_NAMES,
     Term,
-    clamp_by_name,
     default_tol,
     expectation_of_mean,
     solve,
@@ -93,10 +89,10 @@ def _str(value, key: str, where: str) -> str:
     return value
 
 
-def _num_list(value, key: str, where: str) -> list[float]:
+def _num_tuple(value, key: str, where: str) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"key '{key}' in {where} must be a nonempty list of numbers")
-    return [_num(v, key, where) for v in value]
+    return tuple(_num(v, key, where) for v in value)
 
 
 def load_config(path: str) -> dict:
@@ -110,49 +106,58 @@ def load_config(path: str) -> dict:
     return doc
 
 
-# ------------------------------------------------------------- distributions
+# ------------------------------------------------------- dataclass entries
 
-_DISTS = {cls.kind: cls for cls in (Bernoulli, UniformContinuous, Normal, Gamma, Cauchy, Categorical)}
+# one reader per dataclass field type, as harness._CELL_TEXT has one
+# formatter per GridRow field type
+_FIELD_READERS = {
+    "float": _num,
+    "str": _str,
+    "tuple[float, ...]": _num_tuple,
+}
 
 
-def _parse_dist(entry: dict, where: str, extra_keys: set[str]) -> CovariateSpec:
-    """A distribution from its kind and its dataclass fields.
+def _parse_fields(cls, entry: dict, where: str, keys: set[str], required: set[str]):
+    """cls built from entry, each dataclass field read by its declared type.
 
-    Every field is a required number, except fields with a default (a
-    categorical's coding); a categorical's probs are a list.
+    A field without a default is a required key, a field with one may be
+    left out. keys and required name the entry's other keys, which the
+    caller reads.
     """
+    own = fields(cls)
+    _check_keys(
+        entry,
+        keys | {f.name for f in own},
+        required | {f.name for f in own if f.default is MISSING},
+        where,
+    )
+    values = {}
+    for f in own:
+        if f.name in entry:
+            values[f.name] = _FIELD_READERS[f.type](entry[f.name], f.name, where)
+    return cls(**values)
+
+
+_KINDS = {
+    "dist": (
+        "distribution",
+        {cls.kind: cls for cls in (Bernoulli, UniformContinuous, Normal, Gamma, Cauchy, Categorical)},
+    ),
+    "family": ("outcome family", {cls.family: cls for cls in (NormalOutcome, BernoulliOutcome)}),
+}
+
+
+def _parse_kind(entry, where: str, switch: str, keys=(), required=()):
+    """The class that entry[switch] names ('dist' or 'family'), built by _parse_fields."""
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be a mapping")
-    if "dist" not in entry:
-        raise ConfigError(f"missing key 'dist' in {where}")
-    kind = _str(entry["dist"], "dist", where)
-    if kind not in _DISTS:
-        raise ConfigError(
-            f"unknown distribution '{kind}' in {where} (expected one of {sorted(_DISTS)})"
-        )
-    cls = _DISTS[kind]
-    params = [f.name for f in fields(cls)]
-    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
-    _check_keys(entry, {"dist", *params} | extra_keys, {"dist"} | required, where)
-    if cls is Categorical:
-        probs = tuple(_num_list(entry["probs"], "probs", where))
-        coding = coding_by_name(_str(entry.get("coding", "reference_cell"), "coding", where))
-        return Categorical(probs=probs, coding=coding)
-    return cls(**{k: _num(entry[k], k, where) for k in params})
-
-
-def _parse_outcome(entry, where: str) -> OutcomeFamily:
-    _check_keys(entry, {"family", "sd", "clamp"}, {"family"}, where)
-    family = _str(entry["family"], "family", where)
-    if family == "normal":
-        _check_keys(entry, {"family", "sd"}, {"family", "sd"}, where)
-        return NormalOutcome(sd=_num(entry["sd"], "sd", where))
-    if family == "bernoulli":
-        _check_keys(entry, {"family", "clamp"}, {"family"}, where)
-        return BernoulliOutcome(
-            clamp=clamp_by_name(_str(entry.get("clamp", "clamp_to_unit"), "clamp", where))
-        )
-    raise ConfigError(f"unknown outcome family '{family}' in {where} (expected normal or bernoulli)")
+    if switch not in entry:
+        raise ConfigError(f"missing key '{switch}' in {where}")
+    name = _str(entry[switch], switch, where)
+    label, kinds = _KINDS[switch]
+    if name not in kinds:
+        raise ConfigError(f"unknown {label} '{name}' in {where} (expected one of {sorted(kinds)})")
+    return _parse_fields(kinds[name], entry, where, {switch, *keys}, {switch, *required})
 
 
 def _parse_engine(doc: dict, where: str) -> Engine:
@@ -203,15 +208,10 @@ def parse_grid_config(doc: dict) -> GridConfig:
     where = "grid config"
     _check_keys(doc, _GRID_KEYS, _GRID_REQUIRED, where)
     exp = doc["exposure"]
-    _check_keys(exp, {"name", "probs", "betas", "coding"}, {"name", "probs", "betas"}, "exposure")
-    exposure_spec = Categorical(
-        probs=tuple(_num_list(exp["probs"], "probs", "exposure")),
-        coding=coding_by_name(_str(exp.get("coding", "reference_cell"), "coding", "exposure")),
-    )
     exposure = Term(
         name=_str(exp["name"], "name", "exposure"),
-        spec=exposure_spec,
-        beta=tuple(_num_list(exp["betas"], "betas", "exposure")),
+        spec=_parse_fields(Categorical, exp, "exposure", {"name", "betas"}, {"name", "betas"}),
+        beta=_num_tuple(exp["betas"], "betas", "exposure"),
     )
     axis_doc = doc["covariate_axis"]
     if not isinstance(axis_doc, list) or not axis_doc:
@@ -219,16 +219,16 @@ def parse_grid_config(doc: dict) -> GridConfig:
     z_axis = []
     for i, entry in enumerate(axis_doc):
         where_i = f"covariate_axis[{i}]"
-        spec = _parse_dist(entry, where_i, extra_keys={"name"})
+        spec = _parse_kind(entry, where_i, "dist", {"name"})
         z_axis.append((_str(entry.get("name", "z"), "name", where_i), spec))
     return GridConfig(
         name=_str(doc["name"], "name", where),
         link=link_by_name(_str(doc["link"], "link", where)),
-        outcome=_parse_outcome(doc["outcome"], "outcome"),
+        outcome=_parse_kind(doc["outcome"], "outcome", "family"),
         exposure=exposure,
         z_axis=tuple(z_axis),
-        beta2_axis=tuple(_num_list(doc["beta2_axis"], "beta2_axis", where)),
-        target_axis=tuple(_num_list(doc["target_axis"], "target_axis", where)),
+        beta2_axis=_num_tuple(doc["beta2_axis"], "beta2_axis", where),
+        target_axis=_num_tuple(doc["target_axis"], "target_axis", where),
         n=_int(doc["n"], "n", where),
         replicates=_int(doc["replicates"], "replicates", where),
         master_seed=_int(doc["master_seed"], "master_seed", where),
@@ -262,25 +262,22 @@ def parse_dgp_config(doc: dict) -> DgpDocument:
     terms = []
     for i, entry in enumerate(cov_doc):
         where_i = f"covariates[{i}]"
-        spec = _parse_dist(entry, where_i, extra_keys={"name", "beta", "betas"})
-        name = _str(entry.get("name", f"x{i + 1}"), "name", where_i)
-        if isinstance(spec, Categorical):
-            if "betas" not in entry:
-                raise ConfigError(f"missing key 'betas' in {where_i} (categorical coefficients)")
-            if "beta" in entry:
-                raise ConfigError(f"{where_i}: a categorical takes 'betas', not 'beta'")
-            beta = tuple(_num_list(entry["betas"], "betas", where_i))
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{where_i} must be a mapping")
+        # a categorical takes a coefficient block, any other covariate a scalar
+        if entry.get("dist") == Categorical.kind:
+            key, wrong, what, read = "betas", "beta", "a categorical", _num_tuple
         else:
-            if "beta" not in entry:
-                raise ConfigError(f"missing key 'beta' in {where_i}")
-            if "betas" in entry:
-                raise ConfigError(f"{where_i}: a continuous covariate takes 'beta', not 'betas'")
-            beta = _num(entry["beta"], "beta", where_i)
-        terms.append(Term(name=name, spec=spec, beta=beta))
+            key, wrong, what, read = "beta", "betas", "a continuous covariate", _num
+        if wrong in entry:
+            raise ConfigError(f"{where_i}: {what} takes '{key}', not '{wrong}'")
+        spec = _parse_kind(entry, where_i, "dist", {"name", key}, {key})
+        name = _str(entry.get("name", f"x{i + 1}"), "name", where_i)
+        terms.append(Term(name=name, spec=spec, beta=read(entry[key], key, where_i)))
     dgp = DgpSpec(
         terms=tuple(terms),
         link=link_by_name(_str(doc["link"], "link", where)),
-        outcome=_parse_outcome(doc["outcome"], "outcome"),
+        outcome=_parse_kind(doc["outcome"], "outcome", "family"),
         target_mean=_num(doc["target_mean"], "target_mean", where),
     )
     return DgpDocument(

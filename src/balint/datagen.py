@@ -8,7 +8,7 @@ import numpy as np
 
 from .distributions import RngStream
 from .errors import OutOfRangeError, SpecError
-from .intercept import ClampToUnit, DgpSpec, NormalOutcome, draw_terms
+from .intercept import DgpSpec, NormalOutcome, draw_terms
 
 __all__ = ["Column", "Dataset", "generate"]
 
@@ -38,8 +38,8 @@ def generate(dgp: DgpSpec, beta0: float, n: int, rng: RngStream) -> Dataset:
     Covariates draw in declaration order, each from its own substream, so
     adding a term never perturbs the draws of earlier columns; the outcome
     noise has its own substream for the same reason. A Bernoulli outcome runs
-    mu through the clamp policy first: ClampToUnit clips to [0, 1] (in both
-    directions) and counts the rows it changed, RejectOutOfRange refuses to
+    mu through its clamp policy first: clamp_to_unit clips to [0, 1] (in both
+    directions) and counts the rows it changed, reject_out_of_range refuses to
     generate through an invalid mean.
     """
     n = int(n)
@@ -55,7 +55,7 @@ def generate(dgp: DgpSpec, beta0: float, n: int, rng: RngStream) -> Dataset:
         y = out_rng.standard_normal(n) * dgp.outcome.sd + mu
         clamp_count = 0
     else:
-        if isinstance(dgp.outcome.clamp, ClampToUnit):
+        if dgp.outcome.clamp == "clamp_to_unit":
             clamped = np.clip(mu, 0.0, 1.0)
             clamp_count = int(np.count_nonzero(clamped != mu))
             y = (out_rng.random(n) < clamped).astype(float)

@@ -3,11 +3,11 @@
 Each distribution is a frozen spec object that can sample itself. A
 continuous one also reports its mean and evaluates its moment generating
 function where one exists. The MGF is what the log-link intercept solver
-consumes; distributions without one (Cauchy everywhere except t=0, and gamma
-outside t < rate) raise typed errors, which the solver reports as a balancing
-intercept that does not exist. A categorical's moments depend on its coding
-and coefficient block, so its term computes them (intercept.Term). Every
-parameter must be finite.
+consumes; where E[exp(tX)] is infinite (Cauchy everywhere except t=0, and
+gamma outside t < rate) it raises MgfDomainError, which the solver reports as
+a balancing intercept that does not exist. A categorical's moments depend on
+its coding and coefficient block, so its term computes them (intercept.Term).
+Every parameter must be finite.
 
 Randomness is addressed, never ambient: every sampling entry point takes an
 RngStream, a small immutable descriptor (master seed plus derivation path)
@@ -26,13 +26,12 @@ applies, in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
 
-from .coding import CodingScheme, ReferenceCell, _check_probs
-from .errors import MgfDomainError, NoMgfError, SpecError, UndefinedMomentError
+from .errors import MgfDomainError, SpecError, UndefinedMomentError
 
 __all__ = [
     "RngStream",
@@ -43,6 +42,7 @@ __all__ = [
     "Cauchy",
     "Categorical",
     "CovariateSpec",
+    "CODINGS",
 ]
 
 _U64 = 2**64
@@ -223,17 +223,40 @@ class Cauchy:
     def mgf(self, t: float) -> float:
         if t == 0.0:
             return 1.0
-        raise NoMgfError(f"the Cauchy distribution has no MGF at t = {t}")
+        raise MgfDomainError(
+            f"the Cauchy distribution has no MGF at t = {t}; E[exp(tX)] is infinite"
+        )
+
+
+CODINGS = ("reference_cell", "effect", "weighted_effect")
 
 
 @dataclass(frozen=True)
 class Categorical:
+    """A p-level categorical, entering the linear predictor through p-1 coded columns.
+
+    Its coding names the row rows() gives level 0, the reference level: all
+    zeros (reference_cell), all -1 (effect) or -pi_j/pi_0 (weighted_effect,
+    whose probability-weighted rows sum to the zero vector).
+    """
+
     probs: tuple[float, ...]
-    coding: CodingScheme = field(default_factory=ReferenceCell)
+    coding: str = "reference_cell"
     kind = "categorical"
 
     def __post_init__(self) -> None:
-        pr = _check_probs(np.asarray(self.probs, dtype=float), "categorical")
+        pr = np.asarray(self.probs, dtype=float)
+        if pr.ndim != 1 or pr.size < 1:
+            raise SpecError("categorical: probs must be a nonempty vector")
+        # written so that a NaN fails each test
+        if not np.all((0.0 <= pr) & (pr <= 1.0)):
+            raise SpecError(f"categorical: probs must lie in [0, 1], got {pr.tolist()}")
+        if not abs(float(pr.sum()) - 1.0) <= 1e-12:
+            raise SpecError("categorical: probabilities must sum to 1 within 1e-12")
+        if self.coding not in CODINGS:
+            raise SpecError(f"unknown coding scheme '{self.coding}' (expected one of {sorted(CODINGS)})")
+        if self.coding == "weighted_effect" and pr[0] == 0.0:
+            raise SpecError("weighted effect coding requires a reference level with nonzero probability")
         object.__setattr__(self, "probs", tuple(float(v) for v in pr))
 
     @property
@@ -241,7 +264,15 @@ class Categorical:
         return len(self.probs)
 
     def rows(self) -> np.ndarray:
-        return self.coding.rows(self.p, self.probs)
+        """The p x (p-1) coding matrix: row i is level i's coded columns."""
+        # k=-1 puts the ones on the subdiagonal: row 0 is zero, row i is e_{i-1}
+        m = np.eye(self.p, self.p - 1, k=-1)
+        if self.coding == "effect":
+            m[0, :] = -1.0
+        elif self.coding == "weighted_effect":
+            pr = np.asarray(self.probs)
+            m[0, :] = -pr[1:] / pr[0]
+        return m
 
     def sample(self, n: int, rng: RngStream, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Level indices in {0, ..., p-1} as an int64 vector (an int64 view of out, when passed).

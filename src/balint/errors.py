@@ -35,12 +35,8 @@ class UndefinedMomentError(InfeasibleError):
     """The requested moment does not exist (Cauchy mean)."""
 
 
-class NoMgfError(InfeasibleError):
-    """The distribution has no moment generating function at this point."""
-
-
 class MgfDomainError(InfeasibleError):
-    """t lies outside the MGF's domain of convergence (gamma, t >= rate)."""
+    """E[exp(tX)] is infinite: t is outside the MGF's domain (gamma, t >= rate; Cauchy, t != 0)."""
 
 
 class LinkDomainError(InfeasibleError):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
 
@@ -41,7 +41,6 @@ from .errors import (
     InfeasibleError,
     LinkDomainError,
     MgfDomainError,
-    NoMgfError,
     NoRootError,
     SpecError,
     UndefinedMomentError,
@@ -51,10 +50,7 @@ from .expectation import WORKSPACE, Enumerated, Expectation, FrozenDraws, Residu
 from .links import Identity, Link, Log, Logit
 
 __all__ = [
-    "ClampToUnit",
-    "RejectOutOfRange",
-    "ClampPolicy",
-    "clamp_by_name",
+    "CLAMPS",
     "NormalOutcome",
     "BernoulliOutcome",
     "OutcomeFamily",
@@ -83,28 +79,6 @@ MAX_ENUM_SUPPORT = 1_000_000
 
 
 @dataclass(frozen=True)
-class ClampToUnit:
-    name = "clamp_to_unit"
-
-
-@dataclass(frozen=True)
-class RejectOutOfRange:
-    name = "reject_out_of_range"
-
-
-ClampPolicy = Union[ClampToUnit, RejectOutOfRange]
-
-_CLAMPS = {c.name: c() for c in (ClampToUnit, RejectOutOfRange)}
-
-
-def clamp_by_name(name: str) -> ClampPolicy:
-    try:
-        return _CLAMPS[name]
-    except KeyError:
-        raise SpecError(f"unknown clamp policy '{name}' (expected one of {sorted(_CLAMPS)})") from None
-
-
-@dataclass(frozen=True)
 class NormalOutcome:
     sd: float
     family = "normal"
@@ -114,10 +88,19 @@ class NormalOutcome:
             raise SpecError(f"normal outcome sd must be positive and finite, got {self.sd}")
 
 
+CLAMPS = ("clamp_to_unit", "reject_out_of_range")
+
+
 @dataclass(frozen=True)
 class BernoulliOutcome:
-    clamp: ClampPolicy = field(default_factory=ClampToUnit)
+    """A Bernoulli outcome; clamp names what datagen.generate does with a mean outside [0, 1]."""
+
+    clamp: str = "clamp_to_unit"
     family = "bernoulli"
+
+    def __post_init__(self) -> None:
+        if self.clamp not in CLAMPS:
+            raise SpecError(f"unknown clamp policy '{self.clamp}' (expected one of {sorted(CLAMPS)})")
 
 
 OutcomeFamily = Union[NormalOutcome, BernoulliOutcome]
@@ -196,8 +179,8 @@ class Term:
             if isinstance(self.spec, Categorical):
                 return float(sum(p * math.exp(e) for p, e in zip(self.spec.probs, self._level_eta)))
             return self.spec.mgf(self.beta)
-        except (MgfDomainError, NoMgfError) as e:
-            raise type(e)(f"term '{self.name}': {e}") from None
+        except MgfDomainError as e:
+            raise MgfDomainError(f"term '{self.name}': {e}") from None
         except OverflowError:
             return math.inf
 
@@ -321,8 +304,6 @@ def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
     if isinstance(dgp.link, Log):
         try:
             moments = [term.exp_moment() for term in dgp.terms]
-        except NoMgfError:
-            warnings.add("residual_unverified")
         except MgfDomainError:
             residual = math.inf  # a divergent moment
         else:
@@ -419,7 +400,7 @@ def _check_moments(dgp: DgpSpec) -> None:
     """Refuse, by term name, a term whose moment the link balances does not exist.
 
     Under log the solver balances E[exp(beta0 + eta)], which needs every
-    E[exp(beta' X)] finite (NoMgfError, MgfDomainError); under identity it
+    E[exp(beta' X)] finite (MgfDomainError); under identity it
     balances E[eta], which needs every mean (UndefinedMomentError). A sample
     of a moment that does not exist still has a finite mean, which converges
     to nothing as n_mc grows. g^-1 of the logit link is bounded, so every
@@ -484,7 +465,7 @@ def solve_numeric(
 
     A term whose moment the link balances does not exist is refused by name
     before anything is drawn: under log one whose E[exp(beta' X)] is
-    infinite (NoMgfError, MgfDomainError), under identity one without a mean
+    infinite (MgfDomainError), under identity one without a mean
     (UndefinedMomentError). Every logit expectation exists.
 
     Each step asks one question of the residual f (f <= 0, 0 <= f, f < 0,

@@ -18,20 +18,16 @@ from balint import (
     Categorical,
     Cauchy,
     DgpSpec,
-    Effect,
     Gamma,
     Identity,
     Log,
     Logit,
     MgfDomainError,
-    NoMgfError,
     Normal,
     NormalOutcome,
-    ReferenceCell,
     RngStream,
     Term,
     UniformContinuous,
-    WeightedEffect,
     generate,
     solve_linear_scale,
     solve_log_closed_form,
@@ -139,7 +135,7 @@ def _random_discrete_terms(rng, max_terms=3, beta_scale=1.5):
         else:
             p = int(rng.integers(2, 5))
             probs = tuple(rng.dirichlet(np.ones(p)).tolist())
-            coding = ReferenceCell() if rng.random() < 0.5 else Effect()
+            coding = "reference_cell" if rng.random() < 0.5 else "effect"
             spec = Categorical(probs=probs, coding=coding)
             beta = tuple(float(b) for b in rng.uniform(-beta_scale, beta_scale, p - 1))
         terms.append(Term(f"x{i}", spec, beta))
@@ -201,7 +197,7 @@ def test_criterion_5_mgf_suite():
             )
     with pytest.raises(MgfDomainError):
         Gamma(1.0, 1.5).mgf(2.0)
-    with pytest.raises(NoMgfError):
+    with pytest.raises(MgfDomainError):
         Cauchy(0.0, 1.0).mgf(1.0)
 
 
@@ -263,22 +259,22 @@ def test_criterion_7_coding_properties():
     for _ in range(1000):
         p = int(rng.integers(2, 7))
         probs = rng.dirichlet(np.ones(p))
-        rows = WeightedEffect().rows(p, probs)
+        rows = Categorical(probs, coding="weighted_effect").rows()
         assert np.all(np.abs(probs @ rows) <= 1e-12)
     for p in range(2, 7):
         probs = tuple(1.0 / p for _ in range(p))
         betas = tuple(float(b) for b in rng.uniform(-2.0, 2.0, p - 1))
-        centred = Term("x", Categorical(probs=probs, coding=Effect()), betas).mean()
+        centred = Term("x", Categorical(probs=probs, coding="effect"), betas).mean()
         assert abs(centred) <= 1e-12
     for i in range(50):
         p = int(rng.integers(2, 6))
         probs = rng.dirichlet(np.ones(p))
         betas = rng.uniform(-1.0, 1.0, p - 1)
-        scheme = (ReferenceCell(), Effect(), WeightedEffect())[i % 3]
-        spec = Categorical(probs=tuple(probs.tolist()), coding=scheme)
+        coding = ("reference_cell", "effect", "weighted_effect")[i % 3]
+        spec = Categorical(probs=tuple(probs.tolist()), coding=coding)
         exact = Term("x", spec, tuple(betas)).exp_moment()
         levels = spec.sample(1_000_000, RngStream(496, (i,)))
-        draws = np.exp(scheme.rows(p, probs)[levels] @ betas)
+        draws = np.exp(spec.rows()[levels] @ betas)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - exact) <= 4.0 * se
 

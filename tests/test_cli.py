@@ -1,8 +1,10 @@
+import copy
 import csv
 import dataclasses
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,17 +13,18 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings, strategies as st
 
 import balint
 from balint import (
+    CLAMPS,
+    CODINGS,
     Bernoulli,
     BernoulliOutcome,
     Categorical,
     Cauchy,
-    ClampToUnit,
     ConfigError,
     DgpSpec,
-    Effect,
     ExactEnumeration,
     Gamma,
     GridConfig,
@@ -227,7 +230,7 @@ class TestParseDgpConfig:
             Term("n", Normal(0.5, 2.0), 0.1),
             Term("g", Gamma(2.0, 1.5), 0.4),
             Term("c", Cauchy(0.0, 1.0), 0.0),
-            Term("k", Categorical(probs=(0.2, 0.8), coding=Effect()), (0.3,)),
+            Term("k", Categorical(probs=(0.2, 0.8), coding="effect"), (0.3,)),
         )
 
 
@@ -269,6 +272,108 @@ class TestParseGridConfig:
             parse_grid_config(doc)
 
 
+_REAL = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _level_probs(draw):
+    # mass on level 0, which weighted effect coding needs
+    raw = [draw(st.floats(0.01, 1.0))] + draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    return [v / sum(raw) for v in raw]
+
+
+# (switch key, kind, class, strategy for the entry's other keys)
+_ENTRIES = [
+    ("dist", "bernoulli", Bernoulli, st.fixed_dictionaries({"p": st.floats(0.0, 1.0)})),
+    (
+        "dist",
+        "uniform",
+        UniformContinuous,
+        st.tuples(_REAL, _REAL)
+        .filter(lambda ab: ab[0] != ab[1])
+        .map(lambda ab: {"a": min(ab), "b": max(ab)}),
+    ),
+    ("dist", "normal", Normal, st.fixed_dictionaries({"mu": _REAL, "sigma": _POSITIVE})),
+    ("dist", "gamma", Gamma, st.fixed_dictionaries({"shape": _POSITIVE, "rate": _POSITIVE})),
+    ("dist", "cauchy", Cauchy, st.fixed_dictionaries({"location": _REAL, "scale": _POSITIVE})),
+    (
+        "dist",
+        "categorical",
+        Categorical,
+        st.fixed_dictionaries(
+            {"probs": _level_probs()}, optional={"coding": st.sampled_from(CODINGS)}
+        ),
+    ),
+    ("family", "normal", NormalOutcome, st.fixed_dictionaries({"sd": _POSITIVE})),
+    (
+        "family",
+        "bernoulli",
+        BernoulliOutcome,
+        st.fixed_dictionaries({}, optional={"clamp": st.sampled_from(CLAMPS)}),
+    ),
+]
+_OPTIONAL_KEYS = {"coding", "clamp"}
+_GRID = yaml.safe_load(GRID_DOC)
+
+
+@st.composite
+def _entries(draw):
+    switch, kind, cls, values = draw(st.sampled_from(_ENTRIES))
+    params = draw(values)
+    return switch, {switch: kind, **params}, cls(**params)
+
+
+def _parse_entry(switch, entry):
+    """entry read where a grid config holds it: as its outcome, or on its covariate axis."""
+    doc = copy.deepcopy(_GRID)
+    if switch == "family":
+        doc["outcome"] = entry
+        return parse_grid_config(doc).outcome
+    doc["covariate_axis"] = [entry]
+    return parse_grid_config(doc).z_axis[0][1]
+
+
+class TestEntryReader:
+    """Every distribution and outcome entry goes through one field-driven reader."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_entries())
+    def test_entry_parses_to_the_constructed_object(self, case):
+        switch, entry, expected = case
+        assert _parse_entry(switch, entry) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_entries(), st.data())
+    def test_dropped_required_key_is_missing(self, case, data):
+        switch, entry, _ = case
+        key = data.draw(st.sampled_from(sorted(set(entry) - _OPTIONAL_KEYS)))
+        del entry[key]
+        with pytest.raises(ConfigError, match=f"missing key '{key}'"):
+            _parse_entry(switch, entry)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_entries(), st.text(min_size=1))
+    def test_extra_key_is_unknown(self, case, key):
+        switch, entry, _ = case
+        assume(key not in entry and key != "name")
+        entry[key] = 1.0
+        with pytest.raises(ConfigError, match="unknown key"):
+            _parse_entry(switch, entry)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_entries(), st.data())
+    def test_bool_or_string_value_names_the_key(self, case, data):
+        switch, entry, _ = case
+        key = data.draw(st.sampled_from(sorted(entry)))
+        # a string in a string-valued key is a name, checked by the class
+        string_valued = key in _OPTIONAL_KEYS or key == switch
+        bad = st.booleans() if string_valued else st.one_of(st.booleans(), st.text())
+        entry[key] = data.draw(bad)
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+            _parse_entry(switch, entry)
+
+
 class TestBundledConfigs:
     def _load(self, filename):
         path = resources.files("balint") / "configs" / filename
@@ -302,7 +407,7 @@ class TestBundledConfigs:
     def test_suppfig1_shape(self):
         cfg = parse_grid_config(self._load("suppfig1.yaml"))
         assert cfg.name == "suppfig1"
-        assert cfg.outcome == BernoulliOutcome(clamp=ClampToUnit())
+        assert cfg.outcome == BernoulliOutcome(clamp="clamp_to_unit")
         assert len(expand_grid(cfg)) == 180
 
 
@@ -586,6 +691,39 @@ class TestSimulateCommand:
                 assert r["status"] == "skipped"
             else:
                 assert r["status"] == "ok"
+
+    def test_cauchy_cells_are_skipped_like_divergent_gamma(self, capsys, grid_config, tmp_path):
+        # both E[exp(2 Z)] are infinite, so neither cell has a balancing intercept
+        doc = load_config(grid_config)
+        doc.update(
+            covariate_axis=[
+                {"name": "z", "dist": "cauchy", "location": 0.0, "scale": 1.0},
+                {"name": "z", "dist": "gamma", "shape": 1.0, "rate": 1.5},
+            ],
+            beta2_axis=[2.0],
+            target_axis=[0.5],
+        )
+        config = tmp_path / "heavy.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert "0 cells run, 2 skipped," in capsys.readouterr().err
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [(r["z_dist"], r["status"], r["warnings"]) for r in rows] == [
+            ("cauchy", "skipped", "divergent_exp_moment"),
+            ("gamma", "skipped", "divergent_exp_moment"),
+        ]
+
+    def test_bad_exposure_coding_exits_1_without_csv(self, capsys, grid_config, tmp_path):
+        # weighted effect coding divides by the reference level's probability
+        doc = load_config(grid_config)
+        doc["exposure"].update(probs=[0.0, 0.5, 0.5], coding="weighted_effect")
+        config = tmp_path / "coding.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert "reference level with nonzero probability" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_axis_value_exits_1(self, capsys, grid_config, tmp_path):
         # 1.0 and 1 name one cell, dup/normal/1.0/0.5; running it twice would

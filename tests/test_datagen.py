@@ -13,7 +13,6 @@ from balint import (
     Normal,
     NormalOutcome,
     OutOfRangeError,
-    RejectOutOfRange,
     RngStream,
     SpecError,
     Term,
@@ -159,7 +158,7 @@ class TestClamping:
         dgp = DgpSpec(
             (Term("d", Bernoulli(0.5), 0.8),),
             Identity(),
-            BernoulliOutcome(clamp=RejectOutOfRange()),
+            BernoulliOutcome(clamp="reject_out_of_range"),
             0.5,
         )
         with pytest.raises(OutOfRangeError, match=r"outside \[0, 1\]"):
@@ -169,7 +168,7 @@ class TestClamping:
         dgp = DgpSpec(
             (Term("d", Bernoulli(0.5), 0.4),),
             Identity(),
-            BernoulliOutcome(clamp=RejectOutOfRange()),
+            BernoulliOutcome(clamp="reject_out_of_range"),
             0.5,
         )
         ds = generate(dgp, 0.3, 1000, RngStream(12))

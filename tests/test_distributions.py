@@ -10,7 +10,6 @@ from balint import (
     Cauchy,
     Gamma,
     MgfDomainError,
-    NoMgfError,
     Normal,
     RngStream,
     SpecError,
@@ -278,10 +277,12 @@ class TestMgf:
             Gamma(1.0, 1.5).mgf(1.5)  # boundary diverges too
 
     def test_cauchy_no_mgf(self):
-        with pytest.raises(NoMgfError):
+        # an infinite E[exp(tX)], as for a gamma past its rate
+        with pytest.raises(MgfDomainError, match="no MGF"):
             Cauchy(0.0, 1.0).mgf(1.0)
-        with pytest.raises(NoMgfError):
+        with pytest.raises(MgfDomainError, match="no MGF"):
             Cauchy(0.0, 1.0).mgf(-0.2)
+        assert Cauchy(0.0, 1.0).mgf(0.0) == 1.0
 
 
 @st.composite

@@ -1,0 +1,17 @@
+"""README's library quick start runs as printed."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_quick_start_gives_its_commented_beta0(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    code = blocks[0]
+    commented = float(re.search(r"# beta0 = (\S+)", code).group(1))
+    namespace = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    assert namespace["sol"].beta0 == commented
+    assert abs(float(capsys.readouterr().out) - 0.5) < 0.05
