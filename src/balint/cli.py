@@ -97,7 +97,7 @@ def _num_tuple(value, key: str, where: str) -> tuple[float, ...]:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as f:
+        with open(path, "rb") as f:  # yaml decodes, so a bad byte is a YAMLError
             doc = yaml.safe_load(f)
     except yaml.YAMLError as e:
         raise ConfigError(f"cannot parse {path}: {e}") from None

@@ -5,23 +5,24 @@ Enumerated takes that expectation exactly over a finite covariate support;
 FrozenDraws takes it over a fixed Monte Carlo sample of eta. Each bisection
 step asks one yes/no question of the residual (below 0? within tol?), and
 with Monte Carlo most answers are plain long before the end. So FrozenDraws
-also bounds its exact mean from below and above, on any input, from a
-HIST_BINS-bin histogram of eta: about 40 us against about 0.5 ms for a full
-100k-draw pass. Residual takes a step's answer from those bounds when both
-give the same one, and runs the full pass only when they do not. This is the
-floating-point filter of exact geometric predicates (Shewchuk 1997, Discrete
-Comput. Geom. 18:305-363). Every value a solve keeps comes from a full pass,
-so its result is the same to the bit as without the filter.
+also bounds its exact mean from below and above, on any input, from at most
+HIST_BINS runs of its draws, sorted once per solve: about 60 us against about
+0.5 ms for a full 100k-draw pass, after a sort of about 0.5 ms. Residual
+takes a step's answer from those bounds when both give the same one, and
+runs the full pass only when they do not. This is the floating-point filter
+of exact geometric predicates (Shewchuk 1997, Discrete Comput. Geom.
+18:305-363). Every value a solve keeps comes from a full pass, so its result
+is the same to the bit as without the filter.
 
 A Monte Carlo solve works in three n_mc-sized float64 arrays: the frozen
-eta, g^-1(b0 + eta), and one scratch. It borrows them from WORKSPACE, which
-keeps them between solves (Workspace says why).
+eta, g^-1(b0 + eta), and one scratch, which first holds the sorted draws. It
+borrows them from WORKSPACE, which keeps them between solves (Workspace says
+why).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from contextlib import contextmanager
 from functools import cached_property
@@ -33,7 +34,6 @@ from .links import Link
 
 __all__ = [
     "HIST_BINS",
-    "eta_histogram",
     "Workspace",
     "WORKSPACE",
     "FrozenDraws",
@@ -42,45 +42,12 @@ __all__ = [
     "Residual",
 ]
 
-# The Monte Carlo interval filter (FrozenDraws.interval): histogram bins,
-# the edge slack in bins, the relative margin, and the largest n_mc * |g^-1|
-# for which the exact pass's sum cannot overflow.
+# The Monte Carlo interval filter (FrozenDraws.interval): the most runs the
+# sorted draws are cut into, the relative margin, and the largest
+# n_mc * |g^-1| for which the exact pass's sum cannot overflow.
 HIST_BINS = 4096
-HIST_SLACK = 2.0**-20
 INTERVAL_MARGIN = 1e-9
 MAX_SUM = 2.0**1020
-
-
-def eta_histogram(
-    eta: np.ndarray, t: np.ndarray, idx: np.ndarray
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(edges, p) over the nonempty ones of HIST_BINS equal bins on [eta.min(), eta.max()].
-
-    edges[0] and edges[1] hold each bin's lower and upper edge, widened so
-    that every draw counted in a bin lies between them (see FrozenDraws);
-    p holds each bin's share of the draws. A zero-width range is one bin of
-    zero width. None when the range is not finite (an inf or NaN draw) or too
-    narrow for a normal bin width. t (float) and idx (intp) are scratch
-    buffers the size of eta.
-    """
-    e_min, e_max = float(eta.min()), float(eta.max())
-    r = e_max - e_min
-    if r == 0.0:
-        return np.array([[e_min], [e_min]]), np.ones(1)
-    w = r / HIST_BINS
-    if not (math.isfinite(r) and w >= sys.float_info.min):
-        return None
-    np.subtract(eta, e_min, out=t)
-    t *= HIST_BINS / r
-    np.copyto(idx, t, casting="unsafe")
-    np.minimum(idx, HIST_BINS - 1, out=idx)
-    counts = np.bincount(idx, minlength=HIST_BINS)
-    k = np.flatnonzero(counts)
-    slack = HIST_SLACK * (1.0 + max(abs(e_min), abs(e_max)) / r)
-    # an edge past the double range is +/-inf, which still bounds its draws
-    with np.errstate(over="ignore"):
-        edges = np.stack([e_min + (k - slack) * w, e_min + (k + 1 + slack) * w])
-    return edges, counts[k] / eta.size
 
 
 class Workspace(threading.local):
@@ -162,58 +129,59 @@ class FrozenDraws:
         return float(np.sqrt(np.add.reduce(self.x) / (n - 1)) / math.sqrt(n))
 
     @cached_property
-    def histogram(self) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(edges, p, buffer), built on the first interval() with x and mu as scratch."""
-        self.at = None  # mu no longer holds an evaluation
-        hist = eta_histogram(self.eta, self.x, self.mu.view(np.intp))
-        return None if hist is None else (*hist, np.empty_like(hist[0]))
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(edges, p, buffer) over runs of ceil(n / HIST_BINS) draws of eta, sorted in x.
+
+        edges[0] and edges[1] hold each run's first and last draw, p its
+        share of the draws. Built on the first interval(); the sort leaves mu,
+        and the evaluation se() may reuse there, untouched.
+        """
+        n = self.x.size
+        np.copyto(self.x, self.eta)
+        self.x.sort()
+        first = np.arange(0, n, -(-n // HIST_BINS))
+        edges = self.x[np.stack([first, np.append(first[1:], n) - 1])]
+        # a run whose draws all equal the previous run's joins it
+        keep = np.append(True, edges[0, :-1] != edges[1, 1:])
+        edges = edges.compress(keep, axis=1)
+        return edges, np.diff(first[keep], append=n) / n, np.empty_like(edges)
 
     def interval(self, b0: float) -> tuple[float, float]:
         """(lo, hi) with lo <= mean(b0) <= hi on any input.
 
-        It costs g^-1 at twice the nonempty bins of a histogram of eta (at
-        most 2 * HIST_BINS points, built on the first call), not at n_mc draws:
+        It costs g^-1 at the two ends of at most HIST_BINS runs of the sorted
+        draws (sorted once, on the first call), not at n_mc draws:
             lo = sum_k p_k g^-1(fl(lower_k + b0))
             hi = sum_k p_k g^-1(fl(upper_k + b0))
-        each widened by INTERVAL_MARGIN * max(1, |lo|, |hi|). Write u = 2^-53,
-        K = HIST_BINS, R = max - min of eta, w = R / K, M = max(|min|, |max|).
-          1. Every draw lies between its bin's edges. The bin index
-             floor(fl(fl(e - min) * fl(K / R))) is off the exact position
-             K (e - min) / R by at most 4u(K + 1) bins, and the edge arithmetic
-             min + (k +/- slack) w by at most u K M / R + 4u(K + 1 + slack)
-             bins. The slack of 2^-20 (1 + M / R) bins is over 10^5 times
-             their sum.
+        each widened by INTERVAL_MARGIN * max(1, size), where
+            size = sum_k p_k max(|g^-1(fl(lower_k + b0))|, |g^-1(fl(upper_k + b0))|)
+        bounds the summed magnitudes of both the interval and the exact pass.
+          1. Each draw lies, exactly, between its run's first and last draw
+             (runs joined into one all hold the same value).
           2. fl(e + b0) is monotone in e (rounding is monotone), so
              lower_k <= e gives fl(lower_k + b0) <= fl(e + b0), the argument
              the exact pass inverts; likewise for upper_k. g^-1 is increasing,
              and each link.invert result is within a few ulps of it.
           3. What is left is rounding: those few ulps, p_k = count / n, and
              the pairwise sums of the exact mean over n_mc terms and of the
-             interval over at most K, each off by about (log2(n) + 20) u of the
-             summed magnitudes. Together that is below 1e-14 of the summed
-             magnitudes for any n_mc that fits in memory. Under log and logit
-             every term is >= 0, so that is 1e-14 of the value; a g^-1 that
-             underflows is off by at most 2^-1074 each, under the margin's
-             floor of 1e-9. Under identity with terms of one sign it is again
-             relative; with both signs every term is at most
-             (K + 1 + 2 slack) w in size, so the error is below
-             1e-10 (1 + 2 slack) w, while hi - lo >= (1 + 2 slack) w puts the
-             margin above 5e-10 (1 + 2 slack) w.
-        Where g^-1 at the outermost edges is NaN, infinite, or so large (above
-        2^1020 / n_mc) that the exact pass's sum could overflow, the interval
-        is (-inf, inf), which decides nothing.
+             interval over at most HIST_BINS, each off by about
+             (log2(n) + 20) u of the summed magnitudes, u = 2^-53. Together
+             that is below 1e-14 of size for any n_mc that fits in memory. A
+             g^-1 that underflows is off by at most 2^-1074 each, under the
+             margin's floor of 1e-9.
+        Where size is NaN, infinite, or above 2^1020 / n_mc, so that the exact
+        pass's sum could overflow, the interval is (-inf, inf), which decides
+        nothing. A NaN draw sorts last, so it makes size NaN.
         """
-        if self.histogram is None:
-            return -math.inf, math.inf
-        edges, p, mu = self.histogram
+        edges, p, mu = self.blocks
         np.add(edges, b0, out=mu)
         self.link.invert(mu, out=mu)
-        limit = MAX_SUM / self.eta.size
-        if not (abs(mu[0, 0]) <= limit and abs(mu[1, -1]) <= limit):
-            return -math.inf, math.inf
         mu *= p
+        size = float(np.maximum(abs(mu[0]), abs(mu[1])).sum())
+        if not size <= MAX_SUM / self.eta.size:
+            return -math.inf, math.inf
         lo, hi = (float(v) for v in mu.sum(axis=1))
-        margin = INTERVAL_MARGIN * max(1.0, abs(lo), abs(hi))
+        margin = INTERVAL_MARGIN * max(1.0, size)
         return lo - margin, hi + margin
 
 

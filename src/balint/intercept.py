@@ -21,8 +21,9 @@ draws; with the MC engine the draws are frozen once per solve (common random
 numbers), making the objective deterministic and monotone within that solve.
 
 With Monte Carlo most bisection steps are decided by a certified interval
-around the sample mean instead of a full pass over the draws, with the same
-result to the bit (expectation.py has the filter and its proof).
+around the sample mean, taken from runs of the sorted draws, instead of a
+full pass over the draws, with the same result to the bit (expectation.py
+has the filter and its proof).
 """
 
 from __future__ import annotations
@@ -474,7 +475,8 @@ def solve_numeric(
     the exact evaluation otherwise (Residual, FrozenDraws.interval); the
     returned beta0, residual and mc_se all come from exact evaluations. So
     the result is bit-identical to running every step exactly, while a
-    100k-draw Monte Carlo solve makes about 2 full passes instead of 14.
+    100k-draw Monte Carlo solve sorts its draws once and makes about 1.6
+    full passes instead of 14.
     Exact enumeration's interval is its exact value.
     """
     if tol is None:

@@ -8,11 +8,16 @@ one PASS/FAIL line (visible with pytest -s or in failure output).
 import csv
 import functools
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import balint
 from balint import (
     Bernoulli,
     Categorical,
@@ -77,9 +82,22 @@ def _read_rows(path):
 @pytest.fixture(scope="module")
 def fig1_csvs(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig1")
-    paths = {}
-    for label, workers in (("w1", 1), ("w1_rerun", 1), ("w2", 2), ("w8", 8)):
-        paths[label] = out / f"{label}.csv"
+    paths = {label: out / f"{label}.csv" for label in ("w1", "w1_rerun", "w2", "w8")}
+    # the serial rerun runs in a fresh interpreter, alongside the first serial run
+    src = str(Path(balint.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen(
+        [sys.executable, "-m", "balint", "simulate", "--config", str(CONFIGS / "fig1.yaml"),
+         "--out", str(paths["w1_rerun"]), "--workers", "1"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as rerun:
+        try:
+            _simulate("fig1.yaml", paths["w1"], 1)
+            _, err = rerun.communicate(timeout=900)
+        finally:
+            rerun.kill()  # a no-op once it has exited
+    assert rerun.returncode == 0, f"simulate rerun exited {rerun.returncode}: {err}"
+    for label, workers in (("w2", 2), ("w8", 8)):
         _simulate("fig1.yaml", paths[label], workers)
     return paths
 

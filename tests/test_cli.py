@@ -583,6 +583,14 @@ class TestSolveCommand:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_non_utf8_config_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(DGP_DOC.encode() + b"# \xff\n")
+        assert main(["solve", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot parse {path}" in captured.err
+
     def test_non_finite_outcome_sd_exits_1(self, capsys, tmp_path):
         path = tmp_path / "sd.yaml"
         path.write_text(DGP_DOC.replace("sd: 0.1", "sd: .inf"))

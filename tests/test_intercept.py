@@ -910,7 +910,7 @@ _B0 = st.one_of(
 def _drawn_etas(draw):
     """A sample like a solver's frozen draws: many points, dense bins, at any location and scale."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 3000))
+    n = draw(st.integers(2, 20_000))
     kind = draw(st.sampled_from(["normal", "gamma", "cauchy", "levels"]))
     if kind == "normal":
         base = rng.standard_normal(n)
@@ -925,14 +925,28 @@ def _drawn_etas(draw):
     return loc + scale * base
 
 
+def _cancelling(a, m, seed):
+    """m draws of a and m of -a, in an order shuffled by seed."""
+    return np.random.default_rng(seed).permutation(np.repeat([a, -a], m))
+
+
 _ANY_ETAS = st.one_of(
     _drawn_etas(),
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=200).map(
         np.array
     ),
-    st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 500)).map(
-        lambda c: np.full(c[1], c[0])
+    st.builds(
+        _cancelling,
+        st.floats(-20.0, 300.0).map(lambda k: 10.0**k),
+        st.integers(1, 10_000),
+        st.integers(0, 2**32 - 1),
     ),
+    st.builds(
+        lambda finite, infinite: np.array(finite + infinite),
+        st.lists(st.floats(-1e6, 1e6), max_size=50),
+        st.lists(st.sampled_from([-math.inf, math.inf]), min_size=1, max_size=3),
+    ),
+    st.builds(np.full, st.integers(1, 10_000), st.floats(allow_nan=False, allow_infinity=False)),
 )
 
 
@@ -948,30 +962,15 @@ class TestFrozenDrawsInterval:
             assert (lo, hi) == (-math.inf, math.inf)
         else:
             assert lo <= mean <= hi
+        if isinstance(link, Logit):
+            # sum_k p_k (g^-1(upper_k) - g^-1(lower_k)) telescopes under a
+            # g^-1 bounded by [0, 1], and every p_k <= ceil(n / HIST_BINS) / n;
+            # add the two margins of 1e-9 and the sums' rounding
+            step = math.ceil(eta.size / expectation_mod.HIST_BINS)
+            assert hi - lo <= step / eta.size + 2e-9 + 1e-14
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        _ETA_LINKS,
-        st.lists(st.floats(-1e6, 1e6), max_size=50),
-        st.lists(st.sampled_from([-math.inf, math.inf]), min_size=1, max_size=3),
-        _B0,
-    )
-    def test_infinite_draws_build_no_histogram(self, link, finite, infinite, b0):
-        draws = expectation_mod.FrozenDraws(link, np.array(finite + infinite))
-        assert draws.histogram is None
-        assert draws.interval(b0) == (-math.inf, math.inf)
-
-    @pytest.mark.parametrize("link", [Identity(), Log(), Logit()], ids=lambda l: l.name)
-    def test_constant_draws_are_one_zero_width_bin(self, link):
-        draws = expectation_mod.FrozenDraws(link, np.full(1000, 0.7))
-        edges, p, _ = draws.histogram
-        assert edges.tolist() == [[0.7], [0.7]] and p.tolist() == [1.0]
-        lo, hi = draws.interval(-0.2)
-        assert lo <= draws.mean(-0.2) <= hi
-        assert hi - lo <= 1e-8
-
-    def test_building_the_histogram_keeps_se_exact(self):
-        # the histogram borrows the work buffers that se() reads
+    def test_sorting_the_draws_keeps_se_exact(self):
+        # the sort borrows the work buffer that se() writes
         eta = intercept_mod._eta_draws(_pin_dgp("logit_normal_z"), 10_000, RngStream(6))
         reference = expectation_mod.FrozenDraws(Logit(), eta)
         draws = expectation_mod.FrozenDraws(Logit(), eta)
@@ -982,10 +981,21 @@ class TestFrozenDrawsInterval:
     def test_interval_is_narrow_on_a_solver_sample(self):
         dgp = _logit_cells(betas=(3.0,), targets=(0.3,))[3]  # the gamma z cell
         draws = expectation_mod.FrozenDraws(Logit(), intercept_mod._eta_draws(dgp, 100_000, RngStream(9)))
-        assert draws.histogram[1].size <= expectation_mod.HIST_BINS
+        assert draws.blocks[1].size <= expectation_mod.HIST_BINS
         lo, hi = draws.interval(-2.0)
         assert lo <= draws.mean(-2.0) <= hi
-        assert hi - lo <= 0.01
+        # 2.2e-4 here; runs of 25 of the 100k draws bound it by 2.5e-4 plus the margins
+        assert hi - lo <= 3e-4
+
+    def test_repeated_runs_join_on_a_few_valued_sample(self):
+        dgp = _logit_cells(betas=(3.0,), targets=(0.3,))[0]  # 2 x 3 distinct etas
+        draws = expectation_mod.FrozenDraws(Logit(), intercept_mod._eta_draws(dgp, 100_000, RngStream(9)))
+        edges, p, _ = draws.blocks
+        # each value's runs join into one, beside at most 5 runs that straddle two values
+        assert edges.shape[1] <= 11
+        assert p.sum() == pytest.approx(1.0)
+        lo, hi = draws.interval(-2.0)
+        assert lo <= draws.mean(-2.0) <= hi
 
 
 class TestNumericMomentRefusal:
