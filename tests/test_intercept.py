@@ -969,6 +969,37 @@ class TestFrozenDrawsInterval:
             step = math.ceil(eta.size / expectation_mod.HIST_BINS)
             assert hi - lo <= step / eta.size + 2e-9 + 1e-14
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _ETA_LINKS,
+        st.lists(st.floats(-1e6, 1e6), max_size=50),
+        st.lists(st.sampled_from([-math.inf, math.inf]), min_size=1, max_size=3),
+        _B0,
+    )
+    def test_infinite_draws_build_no_histogram(self, link, finite, infinite, b0):
+        # the sorted runs hold infinite draws as they are, at the two ends
+        eta = np.array(finite + infinite)
+        draws = expectation_mod.FrozenDraws(link, eta)
+        edges, p, _ = draws.blocks
+        assert (edges[0, 0], edges[1, -1]) == (eta.min(), eta.max())
+        assert p.sum() == pytest.approx(1.0)
+        with np.errstate(all="ignore"):
+            lo, hi = draws.interval(b0)
+            mean = draws.mean(b0)
+        if math.isfinite(mean):
+            assert lo <= mean <= hi
+        else:
+            assert (lo, hi) == (-math.inf, math.inf)
+
+    @pytest.mark.parametrize("link", [Identity(), Log(), Logit()], ids=lambda l: l.name)
+    def test_constant_draws_are_one_zero_width_bin(self, link):
+        draws = expectation_mod.FrozenDraws(link, np.full(1000, 0.7))
+        edges, p, _ = draws.blocks
+        assert edges.tolist() == [[0.7], [0.7]] and p.tolist() == [1.0]
+        lo, hi = draws.interval(-0.2)
+        assert lo <= draws.mean(-0.2) <= hi
+        assert hi - lo <= 1e-8
+
     def test_sorting_the_draws_keeps_se_exact(self):
         # the sort borrows the work buffer that se() writes
         eta = intercept_mod._eta_draws(_pin_dgp("logit_normal_z"), 10_000, RngStream(6))
