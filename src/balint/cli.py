@@ -208,9 +208,11 @@ def parse_grid_config(doc: dict) -> GridConfig:
     where = "grid config"
     _check_keys(doc, _GRID_KEYS, _GRID_REQUIRED, where)
     exp = doc["exposure"]
+    # parsed first: it checks that exp is a mapping holding every key read below
+    spec = _parse_fields(Categorical, exp, "exposure", {"name", "betas"}, {"name", "betas"})
     exposure = Term(
         name=_str(exp["name"], "name", "exposure"),
-        spec=_parse_fields(Categorical, exp, "exposure", {"name", "betas"}, {"name", "betas"}),
+        spec=spec,
         beta=_num_tuple(exp["betas"], "betas", "exposure"),
     )
     axis_doc = doc["covariate_axis"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +33,13 @@ class Dataset:
         return int(self.outcome.shape[0])
 
 
-def generate(dgp: DgpSpec, beta0: float, n: int, rng: RngStream) -> Dataset:
+def generate(
+    dgp: DgpSpec,
+    beta0: float,
+    n: int,
+    rng: RngStream,
+    work: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> Dataset:
     """Draw covariates, form mu = g^-1(beta0 + beta'x), then the outcome.
 
     Covariates draw in declaration order, each from its own substream, so
@@ -41,24 +48,38 @@ def generate(dgp: DgpSpec, beta0: float, n: int, rng: RngStream) -> Dataset:
     mu through its clamp policy first: clamp_to_unit clips to [0, 1] (in both
     directions) and counts the rows it changed, reject_out_of_range refuses to
     generate through an invalid mean.
+
+    work = (eta, x, y), three float64 arrays of n, makes generation allocate
+    nothing of size n (run_scenario passes a per-thread set). The covariates
+    are drawn into x, each term's share of eta into y, mu is taken into y
+    and the outcome drawn into x. All draws share x, so the Dataset has
+    columns=(), and its outcome is x itself, valid until the next use of
+    work. The outcome and clamp_count are the same to the bit either way.
     """
     n = int(n)
     if n < 1:
         raise SpecError("dataset size must be at least 1")
-    eta = np.full(n, float(beta0))
-    draws = draw_terms(dgp.terms, n, rng.child(0), eta)
-    columns = [Column(term.name, values) for term, values in zip(dgp.terms, draws)]
-    mu = np.atleast_1d(dgp.link.invert(eta))
+    eta, x, y = work or (np.empty(n), None, None)
+    eta.fill(float(beta0))
+    draws = draw_terms(dgp.terms, n, rng.child(0), eta, (x, y))
+    if work is None:
+        columns = tuple(Column(t.name, v) for t, v in zip(dgp.terms, draws))
+        x, y = np.empty(n), np.empty(n)
+    else:
+        columns = ()  # each draw was a view of x, overwritten by the next
+    mu = dgp.link.invert(eta, out=y, scratch=x)
     out_rng = rng.child(1).generator()
     if isinstance(dgp.outcome, NormalOutcome):
         # numpy's normal(loc, scale) is loc + scale * z, z from the same stream
-        y = out_rng.standard_normal(n) * dgp.outcome.sd + mu
+        outcome = out_rng.standard_normal(n, out=x)
+        outcome *= dgp.outcome.sd
+        outcome += mu
         clamp_count = 0
     else:
         if dgp.outcome.clamp == "clamp_to_unit":
-            clamped = np.clip(mu, 0.0, 1.0)
-            clamp_count = int(np.count_nonzero(clamped != mu))
-            y = (out_rng.random(n) < clamped).astype(float)
+            # eta is no longer needed: it takes the clipped mean
+            p = np.clip(mu, 0.0, 1.0, out=eta)
+            clamp_count = int(np.count_nonzero(p != mu))
         else:
             bad = (mu < 0.0) | (mu > 1.0)
             if np.any(bad):
@@ -67,6 +88,7 @@ def generate(dgp: DgpSpec, beta0: float, n: int, rng: RngStream) -> Dataset:
                     f"row {i}: mean {mu[i]:.6g} outside [0, 1] (eta = {eta[i]:.6g}); "
                     "generation rejected"
                 )
-            y = (out_rng.random(n) < mu).astype(float)
-            clamp_count = 0
-    return Dataset(columns=tuple(columns), outcome=y, clamp_count=clamp_count)
+            p, clamp_count = mu, 0
+        # uniform draws are in [0, 1), so u < p is 1.0 with probability p
+        outcome = np.less(out_rng.random(n, out=x), p, out=x)
+    return Dataset(columns=columns, outcome=outcome, clamp_count=clamp_count)

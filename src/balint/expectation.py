@@ -51,17 +51,22 @@ MAX_SUM = 2.0**1020
 
 
 class Workspace(threading.local):
-    """Three float64 arrays of the last n used, one set per thread, lent to one solve at a time.
+    """Three float64 arrays of the last n used, one set per thread, lent to one borrower at a time.
 
-    borrow(n) yields (eta, x, mu), each of n elements and holding whatever
-    the last borrower left there. The set is kept across solves and replaced
-    only when n changes, so a process running a Monte Carlo grid keeps three
-    n_mc arrays resident per thread that has solved: 2.4 MB at the default
-    n_mc of 100,000. That is below the five n_mc arrays a solve used to hold
-    at once. Allocated per solve, arrays this large
-    go back to the OS when freed (glibc unmaps them or trims the heap top),
-    so the next solve faults every page in again: about 1,650 minor page
-    faults per 100k-draw solve, near a third of its time on a 2-vCPU VM.
+    borrow(n) yields three arrays of n elements, each holding whatever the
+    last borrower left there. The set is kept across borrows and replaced
+    only when n changes. Two instances exist, so that neither user's n
+    evicts the other's set: WORKSPACE here holds a Monte Carlo solve's
+    (eta, x, mu), and harness.REPLICATE_WORKSPACE a cell's replicates
+    (datagen.generate's work). A process running a Monte Carlo grid keeps
+    three n_mc arrays resident per thread that has solved, 2.4 MB at the
+    default n_mc of 100,000, below the five n_mc arrays a solve used to hold
+    at once; one running replicates keeps three n arrays, 240 KB at
+    n = 10,000. Allocated per use, arrays of this size go back to the OS
+    when freed (glibc unmaps them or trims the heap top), so the next use
+    faults every page in again: about 1,650 minor page faults per 100k-draw
+    solve, near a third of its time on a 2-vCPU VM, and about 25 per
+    10k-row fig1 replicate.
 
     A borrow made while this thread's set is already lent (a nested solve)
     gets fresh arrays, so two borrowers never share memory. Nothing may keep

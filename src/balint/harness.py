@@ -11,11 +11,9 @@ builtin hash() is never used for keying (it is salted per process).
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Union
 
@@ -24,6 +22,7 @@ import numpy as np
 from .datagen import generate
 from .distributions import CovariateSpec, RngStream
 from .errors import ConfigError, Error, MgfDomainError, SpecError
+from .expectation import Workspace
 from .intercept import (
     DgpSpec,
     Engine,
@@ -51,6 +50,9 @@ __all__ = [
 
 
 def scenario_stream(master_seed: int, scenario_id: str) -> RngStream:
+    # imported here, so that importing balint loads no OpenSSL
+    import hashlib
+
     digest = hashlib.sha256(scenario_id.encode("utf-8")).digest()
     return RngStream(master_seed, (int.from_bytes(digest[:8], "big"),))
 
@@ -93,11 +95,18 @@ class ScenarioResult:
     replicate_means: tuple[float, ...]
 
 
+# The replicates' arrays, kept apart from expectation.WORKSPACE: sharing one
+# set would swap a Monte Carlo grid's n_mc arrays for n-sized ones at every
+# cell, and fault them back in at the next solve.
+REPLICATE_WORKSPACE = Workspace()
+
+
 def run_scenario(s: Scenario) -> ScenarioResult:
     """Solve beta0 once, then generate and average over the replicates.
 
     Replicate k draws from substream (master_seed, id hash, 1, k); the solver
-    owns substream (master_seed, id hash, 0).
+    owns substream (master_seed, id hash, 0). Every replicate is generated
+    in the same three n-sized arrays, borrowed from REPLICATE_WORKSPACE.
     """
     ss = scenario_stream(s.master_seed, s.id)
     try:
@@ -107,10 +116,11 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     rep_base = ss.child(1)
     means = np.empty(s.replicates)
     clamped = 0
-    for k in range(s.replicates):
-        ds = generate(s.dgp, sol.beta0, s.n, rep_base.child(k))
-        means[k] = ds.outcome.mean()
-        clamped += ds.clamp_count
+    with REPLICATE_WORKSPACE.borrow(s.n) as work:
+        for k in range(s.replicates):
+            ds = generate(s.dgp, sol.beta0, s.n, rep_base.child(k), work)
+            means[k] = ds.outcome.mean()
+            clamped += ds.clamp_count
     achieved = float(means.mean())
     return ScenarioResult(
         scenario_id=s.id,
@@ -289,6 +299,9 @@ def run_grid(cfg: GridConfig) -> list[GridRow]:
     w = min(cfg.workers or os.cpu_count() or 1, len(cells))
     if w <= 1:
         return [_run_cell(c) for c in cells]
+    # imported here, so that importing balint loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(cells) // (4 * w))
     with ProcessPoolExecutor(max_workers=w) as ex:
         return list(ex.map(_run_cell, cells, chunksize=chunk))

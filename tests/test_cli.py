@@ -733,6 +733,24 @@ class TestSimulateCommand:
         assert "reference level with nonzero probability" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "exposure, message",
+        [
+            ({"probs": [0.5, 0.35, 0.15], "betas": [0.2, -0.2]}, "missing key 'name' in exposure"),
+            (5, "exposure must be a mapping"),
+        ],
+        ids=["no-name", "not-a-mapping"],
+    )
+    def test_malformed_exposure_exits_1(self, capsys, grid_config, tmp_path, exposure, message):
+        doc = load_config(grid_config)
+        doc["exposure"] = exposure
+        config = tmp_path / "exposure.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_axis_value_exits_1(self, capsys, grid_config, tmp_path):
         # 1.0 and 1 name one cell, dup/normal/1.0/0.5; running it twice would
         # write two identical rows that summarize counts twice

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balint import (
     Bernoulli,
     BernoulliOutcome,
     Categorical,
+    Cauchy,
     DgpSpec,
+    Gamma,
     Identity,
     Log,
+    Logit,
     Normal,
     NormalOutcome,
     OutOfRangeError,
@@ -164,6 +168,14 @@ class TestClamping:
         with pytest.raises(OutOfRangeError, match=r"outside \[0, 1\]"):
             generate(dgp, 0.6, 10_000, RngStream(11))
 
+    @pytest.mark.parametrize("with_work", [False, True], ids=["fresh", "work"])
+    def test_reject_message_gives_eta_not_the_mean(self, with_work):
+        # under the log link row 0's eta is 1.4 and its mean exp(1.4) = 4.0552
+        dgp = DgpSpec((), Log(), BernoulliOutcome(clamp="reject_out_of_range"), 0.5)
+        work = tuple(np.empty(3) for _ in range(3)) if with_work else None
+        with pytest.raises(OutOfRangeError, match=r"row 0: mean 4\.0552 outside \[0, 1\] \(eta = 1\.4\)"):
+            generate(dgp, 1.4, 3, RngStream(11), work)
+
     def test_reject_policy_passes_valid_means(self):
         dgp = DgpSpec(
             (Term("d", Bernoulli(0.5), 0.4),),
@@ -173,6 +185,62 @@ class TestClamping:
         )
         ds = generate(dgp, 0.3, 1000, RngStream(12))
         assert ds.clamp_count == 0
+
+
+_TERMS = st.sampled_from(
+    [
+        CAT_TERM,
+        Term("b", Bernoulli(0.3), 1.5),
+        Term("u", UniformContinuous(-1.0, 2.0), -0.7),
+        Term("z", Normal(0.2, 1.0), 0.5),
+        Term("g", Gamma(2.0, 3.0), 0.4),
+        Term("c", Cauchy(0.0, 0.1), 0.01),
+    ]
+)
+_OUTCOMES = st.sampled_from(
+    [
+        NormalOutcome(0.25),
+        BernoulliOutcome(),
+        BernoulliOutcome(clamp="reject_out_of_range"),
+    ]
+)
+
+
+def _generated(dgp, beta0, n, rng, work=None):
+    try:
+        ds = generate(dgp, beta0, n, rng, work)
+    except OutOfRangeError as e:
+        return str(e)
+    return ds.outcome.tobytes(), ds.clamp_count
+
+
+class TestWorkspace:
+    @given(
+        terms=st.lists(_TERMS, max_size=3, unique_by=lambda t: t.name),
+        link=st.sampled_from([Identity(), Log(), Logit()]),
+        outcome=_OUTCOMES,
+        beta0=st.floats(-3.0, 3.0),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+        stale=st.sampled_from([np.nan, np.inf, 0.5, -1e300]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_work_equals_fresh_arrays_bitwise(self, terms, link, outcome, beta0, n, seed, stale):
+        dgp = DgpSpec(tuple(terms), link, outcome, 0.5)
+        rng = RngStream(seed, (3,))
+        # the work arrays hold what an earlier borrower left in them
+        work = tuple(np.full(n, stale) for _ in range(3))
+        got = _generated(dgp, beta0, n, rng, work)
+        assert got == _generated(dgp, beta0, n, rng)
+        if not isinstance(got, str):
+            assert generate(dgp, beta0, n, rng, work).outcome is work[1]
+
+    def test_work_dataset_has_no_columns(self):
+        dgp = log_dgp(extra=(Term("z", Normal(0.0, 1.0), 1.0),))
+        work = tuple(np.empty(50) for _ in range(3))
+        ds = generate(dgp, -1.24, 50, RngStream(3), work)
+        assert ds.columns == ()
+        assert ds.n == 50
 
 
 class TestValidation:

@@ -81,6 +81,24 @@ class TestRngStream:
         with pytest.raises(SpecError):
             RngStream(0, (-3,))
 
+    @given(
+        master_seed=st.integers(0, 2**64 - 1),
+        path=st.lists(st.integers(0, 2**64 - 1), max_size=6).map(tuple),
+    )
+    @example(master_seed=0, path=())
+    @example(master_seed=2**64 - 1, path=())
+    @example(master_seed=0, path=(0,))
+    @example(master_seed=2**32, path=(2**32 - 1, 2**32, 0))
+    def test_generator_is_numpy_spawn_key_seeding(self, master_seed, path):
+        got = RngStream(master_seed, path).generator()
+        expected = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=path))
+        assert got.bit_generator.state == expected.bit_generator.state
+        assert got.random(3).tolist() == expected.random(3).tolist()
+
+    def test_float_seed_is_refused_as_numpy_refuses_it(self):
+        with pytest.raises(TypeError):
+            RngStream(3.0).generator()
+
     def test_large_hash_sized_path_entries_work(self):
         v = RngStream(1, (2**64 - 1,)).generator().random(4)
         assert v.shape == (4,)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import io
@@ -19,6 +20,7 @@ from balint import (
     Identity,
     Log,
     MgfDomainError,
+    MonteCarlo,
     Normal,
     NormalOutcome,
     RngStream,
@@ -27,6 +29,7 @@ from balint import (
     Term,
     UniformContinuous,
     expand_grid,
+    generate,
     run_grid,
     run_scenario,
     scenario_stream,
@@ -140,6 +143,70 @@ class TestRunScenario:
         assert r.bias < -0.01
 
 
+class TestReplicateWorkspace:
+    def test_second_run_peaks_below_one_n_array(self):
+        import tracemalloc
+
+        n = 20_000
+        for outcome in (NormalOutcome(0.1), BernoulliOutcome()):
+            dgp = DgpSpec((EXPOSURE, Term("z", Normal(0.0, 1.0), 1.0)), Log(), outcome, 0.3)
+            s = Scenario("warm", dgp, "log_closed_form", n=n, replicates=4, master_seed=5)
+            first = run_scenario(s)
+            tracemalloc.start()
+            try:
+                again = run_scenario(s)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert again == first
+            assert peak < n * 8, outcome
+
+    def test_solves_after_generation_at_another_n_reuse_the_solver_arrays(self):
+        import balint.expectation as expectation_mod
+
+        dgp = DgpSpec((EXPOSURE, Term("z", Bernoulli(0.8), 1.0)), Log(), NormalOutcome(0.1), 0.5)
+        s = Scenario(
+            "mc", dgp, "numeric", n=100, replicates=2, master_seed=3, engine=MonteCarlo(5000)
+        )
+        run_scenario(s)
+        solver_arrays = expectation_mod.WORKSPACE.arrays
+        replicate_arrays = harness_mod.REPLICATE_WORKSPACE.arrays
+        assert [a.size for a in solver_arrays] == [5000] * 3
+        assert [a.size for a in replicate_arrays] == [100] * 3
+        run_scenario(s)
+        assert all(a is b for a, b in zip(expectation_mod.WORKSPACE.arrays, solver_arrays))
+        assert all(a is b for a, b in zip(harness_mod.REPLICATE_WORKSPACE.arrays, replicate_arrays))
+
+    def test_replicates_equal_the_allocating_generate(self):
+        dgp = DgpSpec((EXPOSURE, Term("z", Normal(0.0, 1.0), 3.0)), Log(), BernoulliOutcome(), 0.9)
+        s = Scenario("clamped", dgp, "log_closed_form", n=500, replicates=6, master_seed=17)
+        r = run_scenario(s)
+        rep_base = scenario_stream(17, "clamped").child(1)
+        fresh = [generate(dgp, r.beta0, 500, rep_base.child(k)) for k in range(6)]
+        assert r.replicate_means == tuple(float(ds.outcome.mean()) for ds in fresh)
+        assert r.clamp_rate == sum(ds.clamp_count for ds in fresh) / (6 * 500)
+        assert r.clamp_rate > 0.0
+
+
+def test_import_loads_no_multiprocessing_or_openssl():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(harness_mod.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from balint import cli, harness\n"
+        "print(sorted(m for m in ('multiprocessing', '_hashlib') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    assert loaded == "[]"
+
+
 class TestGridValidation:
     def test_empty_axis(self):
         with pytest.raises(ConfigError, match="axis"):
@@ -241,7 +308,7 @@ class TestRunGrid:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = small_grid(beta2_axis=(1.0,), workers=workers)
         rows = run_grid(cfg)
         assert sizes == [expected]
@@ -251,7 +318,7 @@ class TestRunGrid:
         def no_pool(max_workers):
             raise AssertionError("a one-cell grid must not start a pool")
 
-        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         cfg = small_grid(
             z_axis=(("z", Bernoulli(0.8)),), beta2_axis=(1.0,), target_axis=(0.5,), workers=8
         )
