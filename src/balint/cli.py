@@ -14,37 +14,29 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
-from dataclasses import MISSING, fields
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional, Sequence, get_args
 
 import yaml
 
-from .distributions import (
-    Bernoulli,
-    Categorical,
-    Cauchy,
-    Gamma,
-    Normal,
-    RngStream,
-    UniformContinuous,
-)
+from .distributions import Categorical, CovariateSpec, RngStream
 from .errors import ConfigError, Error
 from .harness import GridConfig, run_grid, summarize, write_csv
 from .intercept import (
-    BernoulliOutcome,
     DgpSpec,
     Engine,
     ExactEnumeration,
-    MonteCarlo,
-    NormalOutcome,
+    OutcomeFamily,
     SOLVER_NAMES,
+    Solver,
     Term,
     default_tol,
     expectation_of_mean,
     solve,
 )
-from .links import link_by_name
+from .links import Link, link_by_name
 
 __all__ = [
     "load_config",
@@ -59,17 +51,6 @@ VERIFY_GAP_EXIT = 3
 
 
 # ---------------------------------------------------------------- validation
-
-def _check_keys(mapping: dict, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in {where}")
-    for key in required:
-        if key not in mapping:
-            raise ConfigError(f"missing key '{key}' in {where}")
-
 
 def _num(value, key: str, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -108,42 +89,35 @@ def load_config(path: str) -> dict:
 
 # ------------------------------------------------------- dataclass entries
 
-# one reader per dataclass field type, as harness._CELL_TEXT has one
-# formatter per GridRow field type
-_FIELD_READERS = {
-    "float": _num,
-    "str": _str,
-    "tuple[float, ...]": _num_tuple,
-}
-
-
-def _parse_fields(cls, entry: dict, where: str, keys: set[str], required: set[str]):
+def _parse_fields(cls, entry: dict, where: str, keys=frozenset(), required=frozenset()):
     """cls built from entry, each dataclass field read by its declared type.
 
     A field without a default is a required key, a field with one may be
-    left out. keys and required name the entry's other keys, which the
-    caller reads.
+    left out, and a field that __init__ does not take is no key. keys and
+    required name the entry's other keys, which the caller reads.
     """
-    own = fields(cls)
-    _check_keys(
-        entry,
-        keys | {f.name for f in own},
-        required | {f.name for f in own if f.default is MISSING},
-        where,
-    )
+    own = [f for f in fields(cls) if f.init]
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    allowed = keys | {f.name for f in own}
+    for key in entry:
+        if key not in allowed:
+            raise ConfigError(f"unknown key '{key}' in {where}")
+    for key in required | {f.name for f in own if f.default is MISSING}:
+        if key not in entry:
+            raise ConfigError(f"missing key '{key}' in {where}")
     values = {}
     for f in own:
         if f.name in entry:
-            values[f.name] = _FIELD_READERS[f.type](entry[f.name], f.name, where)
+            # the engine is the one field read from two keys, so its reader gets the entry
+            value = entry if f.type == "Engine" else entry[f.name]
+            values[f.name] = _FIELD_READERS[f.type](value, f.name, where)
     return cls(**values)
 
 
 _KINDS = {
-    "dist": (
-        "distribution",
-        {cls.kind: cls for cls in (Bernoulli, UniformContinuous, Normal, Gamma, Cauchy, Categorical)},
-    ),
-    "family": ("outcome family", {cls.family: cls for cls in (NormalOutcome, BernoulliOutcome)}),
+    "dist": ("distribution", {cls.kind: cls for cls in get_args(CovariateSpec)}),
+    "family": ("outcome family", {cls.family: cls for cls in get_args(OutcomeFamily)}),
 }
 
 
@@ -160,152 +134,129 @@ def _parse_kind(entry, where: str, switch: str, keys=(), required=()):
     return _parse_fields(kinds[name], entry, where, {switch, *keys}, {switch, *required})
 
 
-def _parse_engine(doc: dict, where: str) -> Engine:
-    name = _str(doc.get("engine", "exact"), "engine", where)
-    if name == "exact":
-        return ExactEnumeration()
-    if name == "mc":
-        return MonteCarlo(n_mc=_int(doc.get("n_mc", 100_000), "n_mc", where))
-    raise ConfigError(f"key 'engine' in {where} must be 'exact' or 'mc', got '{name}'")
+_ENGINES = {cls.name: cls for cls in get_args(Engine)}
+_ENGINE_KEYS = {f.name for cls in _ENGINES.values() for f in fields(cls)}
 
 
-def _parse_solver(doc: dict, where: str) -> str:
-    # a required key: the caller's _check_keys has already seen it
-    solver = _str(doc["solver"], "solver", where)
+def _engine(entry: dict, key: str, where: str) -> Engine:
+    """The engine entry[key] names, its fields (n_mc) read from the same, checked entry."""
+    name = _str(entry[key], key, where)
+    if name not in _ENGINES:
+        raise ConfigError(f"key '{key}' in {where} must be 'exact' or 'mc', got '{name}'")
+    return _parse_fields(_ENGINES[name], entry, where, entry.keys())
+
+
+def _solver(value, key: str, where: str) -> str:
+    solver = _str(value, key, where)
     if solver not in SOLVER_NAMES:
         raise ConfigError(f"unknown solver '{solver}' in {where} (expected one of {SOLVER_NAMES})")
     return solver
 
 
-def _parse_tol(doc: dict, where: str) -> Optional[float]:
-    if "tol" not in doc:
-        return None
-    tol = _num(doc["tol"], "tol", where)
+def _tol(value, key: str, where: str) -> float:
+    tol = _num(value, key, where)
     if not 0.0 < tol < math.inf:
-        raise ConfigError(f"key 'tol' in {where} must be positive and finite, got {tol}")
+        raise ConfigError(f"key '{key}' in {where} must be positive and finite, got {tol}")
     return tol
 
 
-# -------------------------------------------------------------- grid configs
-
-_GRID_REQUIRED = {
-    "name",
-    "link",
-    "outcome",
-    "exposure",
-    "covariate_axis",
-    "beta2_axis",
-    "target_axis",
-    "n",
-    "replicates",
-    "master_seed",
-    "solver",
-}
-_GRID_KEYS = _GRID_REQUIRED | {"engine", "n_mc", "tol", "workers"}
-
-
-def parse_grid_config(doc: dict) -> GridConfig:
-    where = "grid config"
-    _check_keys(doc, _GRID_KEYS, _GRID_REQUIRED, where)
-    exp = doc["exposure"]
-    # parsed first: it checks that exp is a mapping holding every key read below
-    spec = _parse_fields(Categorical, exp, "exposure", {"name", "betas"}, {"name", "betas"})
-    exposure = Term(
-        name=_str(exp["name"], "name", "exposure"),
+def _exposure(value, key: str, where: str) -> Term:
+    # parsed first: it checks that value is a mapping holding every key read below
+    spec = _parse_fields(Categorical, value, key, {"name", "betas"}, {"name", "betas"})
+    return Term(
+        name=_str(value["name"], "name", key),
         spec=spec,
-        beta=_num_tuple(exp["betas"], "betas", "exposure"),
+        beta=_num_tuple(value["betas"], "betas", key),
     )
-    axis_doc = doc["covariate_axis"]
-    if not isinstance(axis_doc, list) or not axis_doc:
-        raise ConfigError("key 'covariate_axis' in grid config must be a nonempty list")
-    z_axis = []
-    for i, entry in enumerate(axis_doc):
-        where_i = f"covariate_axis[{i}]"
+
+
+def _covariate_axis(value, key: str, where: str) -> tuple[tuple[str, CovariateSpec], ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"key '{key}' in {where} must be a nonempty list")
+    axis = []
+    for i, entry in enumerate(value):
+        where_i = f"{key}[{i}]"
         spec = _parse_kind(entry, where_i, "dist", {"name"})
-        z_axis.append((_str(entry.get("name", "z"), "name", where_i), spec))
-    return GridConfig(
-        name=_str(doc["name"], "name", where),
-        link=link_by_name(_str(doc["link"], "link", where)),
-        outcome=_parse_kind(doc["outcome"], "outcome", "family"),
-        exposure=exposure,
-        z_axis=tuple(z_axis),
-        beta2_axis=_num_tuple(doc["beta2_axis"], "beta2_axis", where),
-        target_axis=_num_tuple(doc["target_axis"], "target_axis", where),
-        n=_int(doc["n"], "n", where),
-        replicates=_int(doc["replicates"], "replicates", where),
-        master_seed=_int(doc["master_seed"], "master_seed", where),
-        solver=_parse_solver(doc, where),
-        engine=_parse_engine(doc, where),
-        tol=_parse_tol(doc, where),
-        workers=_int(doc.get("workers", 1), "workers", where),
-    )
+        axis.append((_str(entry.get("name", "z"), "name", where_i), spec))
+    return tuple(axis)
 
 
-# --------------------------------------------------------- single-DGP configs
-
-_DGP_REQUIRED = {"link", "target_mean", "outcome", "covariates", "solver"}
-_DGP_KEYS = _DGP_REQUIRED | {"engine", "n_mc", "tol", "master_seed"}
-
-
-class DgpDocument(NamedTuple):
-    dgp: DgpSpec
-    solver: str
-    engine: Engine
-    tol: Optional[float]
-    master_seed: int
-
-
-def parse_dgp_config(doc: dict) -> DgpDocument:
-    where = "dgp config"
-    _check_keys(doc, _DGP_KEYS, _DGP_REQUIRED, where)
-    cov_doc = doc["covariates"]
-    if not isinstance(cov_doc, list):
-        raise ConfigError("key 'covariates' in dgp config must be a list")
+def _covariates(value, key: str, where: str) -> tuple[Term, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"key '{key}' in {where} must be a list")
     terms = []
-    for i, entry in enumerate(cov_doc):
-        where_i = f"covariates[{i}]"
+    for i, entry in enumerate(value):
+        where_i = f"{key}[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where_i} must be a mapping")
         # a categorical takes a coefficient block, any other covariate a scalar
         if entry.get("dist") == Categorical.kind:
-            key, wrong, what, read = "betas", "beta", "a categorical", _num_tuple
+            beta, wrong, what, read = "betas", "beta", "a categorical", _num_tuple
         else:
-            key, wrong, what, read = "beta", "betas", "a continuous covariate", _num
+            beta, wrong, what, read = "beta", "betas", "a continuous covariate", _num
         if wrong in entry:
-            raise ConfigError(f"{where_i}: {what} takes '{key}', not '{wrong}'")
-        spec = _parse_kind(entry, where_i, "dist", {"name", key}, {key})
+            raise ConfigError(f"{where_i}: {what} takes '{beta}', not '{wrong}'")
+        spec = _parse_kind(entry, where_i, "dist", {"name", beta}, {beta})
         name = _str(entry.get("name", f"x{i + 1}"), "name", where_i)
-        terms.append(Term(name=name, spec=spec, beta=read(entry[key], key, where_i)))
-    dgp = DgpSpec(
-        terms=tuple(terms),
-        link=link_by_name(_str(doc["link"], "link", where)),
-        outcome=_parse_kind(doc["outcome"], "outcome", "family"),
-        target_mean=_num(doc["target_mean"], "target_mean", where),
-    )
-    return DgpDocument(
-        dgp=dgp,
-        solver=_parse_solver(doc, where),
-        engine=_parse_engine(doc, where),
-        tol=_parse_tol(doc, where),
-        master_seed=_int(doc.get("master_seed", 0), "master_seed", where),
-    )
+        terms.append(Term(name=name, spec=spec, beta=read(entry[beta], beta, where_i)))
+    return tuple(terms)
+
+
+# one reader per dataclass field type, as harness._CELL_TEXT has one
+# formatter per GridRow field type
+_FIELD_READERS = {
+    "float": _num,
+    "int": _int,
+    "str": _str,
+    "tuple[float, ...]": _num_tuple,
+    # the one optional number is a tolerance: absent, the engine's default
+    "Optional[float]": _tol,
+    "Solver": _solver,
+    "Engine": _engine,
+    "Link": lambda value, key, where: link_by_name(_str(value, key, where)),
+    "OutcomeFamily": lambda value, key, where: _parse_kind(value, key, "family"),
+    "Term": _exposure,
+    "tuple[Term, ...]": _covariates,
+    "tuple[tuple[str, CovariateSpec], ...]": _covariate_axis,
+}
+
+
+def parse_grid_config(doc: dict) -> GridConfig:
+    return _parse_fields(GridConfig, doc, "grid config", _ENGINE_KEYS)
+
+
+@dataclass(frozen=True)
+class DgpDocument:
+    """A single-DGP config, one field per key; dgp is built from the first four."""
+
+    link: Link
+    target_mean: float
+    outcome: OutcomeFamily
+    covariates: tuple[Term, ...]
+    solver: Solver
+    engine: Engine = ExactEnumeration()
+    tol: Optional[float] = None
+    master_seed: int = 0
+    dgp: DgpSpec = field(init=False)
+
+    def __post_init__(self) -> None:
+        dgp = DgpSpec(self.covariates, self.link, self.outcome, self.target_mean)
+        object.__setattr__(self, "dgp", dgp)
+
+
+def parse_dgp_config(doc: dict) -> DgpDocument:
+    return _parse_fields(DgpDocument, doc, "dgp config", _ENGINE_KEYS)
 
 
 # ------------------------------------------------------------------ commands
 
-_OVERRIDE_KEYS = (
-    ("seed", "master_seed"),
-    ("replicates", "replicates"),
-    ("workers", "workers"),
-    ("engine", "engine"),
-    ("n_mc", "n_mc"),
-    ("tol", "tol"),
-)
+# each flag's dest is the key it overrides
+_OVERRIDE_KEYS = ("master_seed", "replicates", "workers", "engine", "n_mc", "tol")
 
 
 def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
-    for attr, key in _OVERRIDE_KEYS:
-        value = getattr(args, attr, None)
+    for key in _OVERRIDE_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             doc[key] = value
     return doc
@@ -351,8 +302,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = parse_grid_config(_apply_overrides(load_config(args.config), args))
-    rows = run_grid(cfg)
-    write_csv(rows, args.out)
+    # opened before any cell runs, so an unwritable --out fails at once, and
+    # moved onto --out when complete, so a failed run leaves --out as it was
+    partial = f"{args.out}.part"
+    try:
+        f = open(partial, "w", newline="")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, args.out) from None
+    try:
+        with f:
+            rows = run_grid(cfg)
+            write_csv(rows, f)
+        os.replace(partial, args.out)
+    except BaseException:
+        os.remove(partial)
+        raise
     s = summarize(rows)
     note = f", {s['error']} failed" if s["error"] else ""
     print(
@@ -380,8 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="YAML config path")
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--engine", choices=("exact", "mc"), default=None, help="override engine")
+        p.add_argument(
+            "--seed", dest="master_seed", metavar="SEED", type=int, help="override master_seed"
+        )
+        p.add_argument("--engine", choices=tuple(_ENGINES), default=None, help="override engine")
         p.add_argument("--n-mc", dest="n_mc", type=int, default=None, help="override MC draw count")
         p.add_argument("--tol", type=float, default=None, help="override solver tolerance")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .datagen import generate
 from .distributions import CovariateSpec, RngStream
-from .errors import ConfigError, Error, MgfDomainError, SpecError
+from .errors import ConfigError, Error, MgfDomainError, SpecError, UndefinedMomentError
 from .expectation import Workspace
 from .intercept import (
     DgpSpec,
@@ -29,6 +29,7 @@ from .intercept import (
     ExactEnumeration,
     OutcomeFamily,
     SOLVER_NAMES,
+    Solver,
     Term,
     solve,
 )
@@ -147,13 +148,13 @@ class GridConfig:
     link: Link
     outcome: OutcomeFamily
     exposure: Term
-    z_axis: tuple[tuple[str, CovariateSpec], ...]
+    covariate_axis: tuple[tuple[str, CovariateSpec], ...]
     beta2_axis: tuple[float, ...]
     target_axis: tuple[float, ...]
     n: int
     replicates: int
     master_seed: int
-    solver: str
+    solver: Solver
     engine: Engine = ExactEnumeration()
     tol: Optional[float] = None
     workers: int = 1
@@ -161,9 +162,9 @@ class GridConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("grid name must be nonempty")
-        if not (self.z_axis and self.beta2_axis and self.target_axis):
+        if not (self.covariate_axis and self.beta2_axis and self.target_axis):
             raise ConfigError("every grid axis needs at least one entry")
-        kinds = [spec.kind for _, spec in self.z_axis]
+        kinds = [spec.kind for _, spec in self.covariate_axis]
         if len(set(kinds)) != len(kinds):
             raise ConfigError(f"covariate axis entries must have distinct distributions, got {kinds}")
         # a repeated value would run one scenario id twice, on the same streams
@@ -216,7 +217,7 @@ CSV_COLUMNS = tuple(f.name for f in fields(GridRow))
 def expand_grid(cfg: GridConfig) -> list[GridCell]:
     """All cells of the grid, ordered by scenario id."""
     cells = []
-    for zname, zspec in cfg.z_axis:
+    for zname, zspec in cfg.covariate_axis:
         for beta2 in cfg.beta2_axis:
             for target in cfg.target_axis:
                 sid = f"{cfg.name}/{zspec.kind}/{float(beta2)}/{float(target)}"
@@ -268,11 +269,13 @@ def _run_cell(cell: GridCell) -> GridRow:
             warnings=(warning,),
         )
 
+    # a cell whose balanced moment does not exist has no intercept; recorded, not dropped
     try:
         r = run_scenario(s)
     except MgfDomainError:
-        # the cell's exponential moment is infinite; recorded, not dropped
         return unfinished("skipped", "divergent_exp_moment")
+    except UndefinedMomentError:
+        return unfinished("skipped", "undefined_mean")
     except Error as e:
         return unfinished("error", f"{type(e).__name__}: {e}")
     return GridRow(

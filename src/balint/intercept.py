@@ -32,7 +32,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Literal, Optional, Sequence, Union, get_args
 
 import numpy as np
 
@@ -545,7 +545,8 @@ def default_tol(engine: Engine) -> float:
     return DEFAULT_TOL_MC if isinstance(engine, MonteCarlo) else DEFAULT_TOL_EXACT
 
 
-SOLVER_NAMES = ("linear_scale", "log_closed_form", "numeric")
+Solver = Literal["linear_scale", "log_closed_form", "numeric"]
+SOLVER_NAMES = get_args(Solver)
 
 
 def solve(

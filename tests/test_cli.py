@@ -16,6 +16,7 @@ import yaml
 from hypothesis import assume, given, settings, strategies as st
 
 import balint
+import balint.harness as harness_mod
 from balint import (
     CLAMPS,
     CODINGS,
@@ -83,7 +84,7 @@ def mini_grid() -> GridConfig:
         link=Log(),
         outcome=NormalOutcome(0.1),
         exposure=EXPOSURE,
-        z_axis=(("z", Bernoulli(0.8)), ("z", Normal(0.0, 1.0))),
+        covariate_axis=(("z", Bernoulli(0.8)), ("z", Normal(0.0, 1.0))),
         beta2_axis=(1.0,),
         target_axis=(0.3, 0.5),
         n=100,
@@ -192,12 +193,16 @@ class TestParseDgpConfig:
     def test_round_trip(self):
         parsed = parse_dgp_config(yaml.safe_load(DGP_DOC))
         assert parsed == DgpDocument(
-            dgp=DgpSpec((EXPOSURE,), Log(), NormalOutcome(0.1), 0.5),
+            link=Log(),
+            target_mean=0.5,
+            outcome=NormalOutcome(0.1),
+            covariates=(EXPOSURE,),
             solver="log_closed_form",
             engine=ExactEnumeration(),
             tol=None,
             master_seed=11,
         )
+        assert parsed.dgp == DgpSpec((EXPOSURE,), Log(), NormalOutcome(0.1), 0.5)
 
     def test_every_distribution_round_trips(self):
         doc = yaml.safe_load(DGP_DOC)
@@ -238,7 +243,7 @@ class TestParseGridConfig:
     def test_mini_grid(self):
         cfg = parse_grid_config(yaml.safe_load(GRID_DOC))
         assert cfg.name == "mini"
-        assert [spec.kind for _, spec in cfg.z_axis] == ["bernoulli", "normal"]
+        assert [spec.kind for _, spec in cfg.covariate_axis] == ["bernoulli", "normal"]
         assert cfg.workers == 1
         assert len(expand_grid(cfg)) == 4
 
@@ -331,7 +336,7 @@ def _parse_entry(switch, entry):
         doc["outcome"] = entry
         return parse_grid_config(doc).outcome
     doc["covariate_axis"] = [entry]
-    return parse_grid_config(doc).z_axis[0][1]
+    return parse_grid_config(doc).covariate_axis[0][1]
 
 
 class TestEntryReader:
@@ -374,6 +379,89 @@ class TestEntryReader:
             _parse_entry(switch, entry)
 
 
+# each top-level document with every optional key set, and those optional keys
+_DOCUMENTS = {
+    "grid": (
+        parse_grid_config,
+        {**_GRID, "engine": "mc", "n_mc": 1000, "tol": 1.0e-3, "workers": 2},
+        {"engine", "n_mc", "tol", "workers"},
+    ),
+    "dgp": (
+        parse_dgp_config,
+        {**yaml.safe_load(DGP_DOC), "engine": "mc", "n_mc": 1000, "tol": 1.0e-3},
+        {"engine", "n_mc", "tol", "master_seed"},
+    ),
+}
+# the keys holding a number or a list of numbers
+_NUMERIC_KEYS = {
+    "target_mean",
+    "beta2_axis",
+    "target_axis",
+    "n",
+    "replicates",
+    "master_seed",
+    "n_mc",
+    "tol",
+    "workers",
+}
+
+
+def _document(which):
+    parse, doc, optional = _DOCUMENTS[which]
+    return parse, copy.deepcopy(doc), optional
+
+
+class TestTopLevelDocuments:
+    """The grid and single-DGP documents go through the same field-driven reader."""
+
+    def test_full_documents_parse(self):
+        for which in _DOCUMENTS:
+            parse, doc, _ = _document(which)
+            assert parse(doc).engine == MonteCarlo(1000)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(sorted(_DOCUMENTS)), st.data())
+    def test_dropped_required_key_is_missing(self, which, data):
+        parse, doc, optional = _document(which)
+        key = data.draw(st.sampled_from(sorted(set(doc) - optional)))
+        del doc[key]
+        with pytest.raises(ConfigError, match=f"missing key '{key}' in {which} config"):
+            parse(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(_DOCUMENTS)), st.text(min_size=1))
+    def test_extra_key_is_unknown(self, which, key):
+        parse, doc, _ = _document(which)
+        assume(key not in doc)
+        doc[key] = 1.0
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(_DOCUMENTS)), st.data())
+    def test_bool_or_string_in_numeric_key_names_the_key(self, which, data):
+        parse, doc, _ = _document(which)
+        key = data.draw(st.sampled_from(sorted(_NUMERIC_KEYS & set(doc))))
+        doc[key] = data.draw(st.one_of(st.booleans(), st.text()))
+        with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+            parse(doc)
+
+    @pytest.mark.parametrize("which", sorted(_DOCUMENTS))
+    def test_left_out_keys_take_the_dataclass_defaults(self, which):
+        parse, doc, optional = _document(which)
+        for key in optional:
+            del doc[key]
+        parsed = parse(doc)
+        assert parsed.engine == ExactEnumeration()
+        assert parsed.tol is None
+        if which == "grid":
+            assert parsed.workers == 1
+        else:
+            assert parsed.master_seed == 0
+        doc["engine"] = "mc"
+        assert parse(doc).engine.n_mc == 100_000
+
+
 class TestBundledConfigs:
     def _load(self, filename):
         path = resources.files("balint") / "configs" / filename
@@ -386,18 +474,18 @@ class TestBundledConfigs:
         assert cfg.outcome == NormalOutcome(sd=0.1)
         assert cfg.exposure.spec.probs == (0.5, 0.35, 0.15)
         assert cfg.exposure.beta == (0.2, -0.2)
-        assert [spec.kind for _, spec in cfg.z_axis] == [
+        assert [spec.kind for _, spec in cfg.covariate_axis] == [
             "bernoulli",
             "uniform",
             "normal",
             "gamma",
         ]
-        by_kind = {spec.kind: spec for _, spec in cfg.z_axis}
+        by_kind = {spec.kind: spec for _, spec in cfg.covariate_axis}
         assert by_kind["bernoulli"] == Bernoulli(0.8)
         assert by_kind["uniform"] == UniformContinuous(-1.0, 3.0)
         assert by_kind["normal"] == Normal(0.0, 1.0)
         assert by_kind["gamma"] == Gamma(1.0, 1.5)
-        assert all(name == "z" for name, _ in cfg.z_axis)
+        assert all(name == "z" for name, _ in cfg.covariate_axis)
         assert cfg.beta2_axis == (1.0, 1.5, 2.0, 2.5, 3.0)
         assert cfg.target_axis == tuple((i + 1) / 10 for i in range(9))
         assert (cfg.n, cfg.replicates, cfg.master_seed) == (10_000, 500, 20_210_822)
@@ -722,6 +810,53 @@ class TestSimulateCommand:
             ("gamma", "skipped", "divergent_exp_moment"),
         ]
 
+    @pytest.mark.parametrize("solver", ["linear_scale", "numeric"])
+    def test_cauchy_cell_without_a_mean_is_skipped(self, capsys, grid_config, tmp_path, solver):
+        # the identity link balances E[eta], which does not exist for a Cauchy Z
+        doc = load_config(grid_config)
+        doc.update(
+            link="identity",
+            covariate_axis=[{"name": "z", "dist": "cauchy", "location": 0.0, "scale": 1.0}],
+            beta2_axis=[1.0],
+            target_axis=[0.5],
+            solver=solver,
+        )
+        config = tmp_path / "cauchy.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "0 cells run, 1 skipped," in err and "failed" not in err
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [(r["z_dist"], r["status"], r["warnings"], r["beta0"]) for r in rows] == [
+            ("cauchy", "skipped", "undefined_mean", "")
+        ]
+
+    def test_unwritable_out_exits_1_before_any_cell_runs(
+        self, capsys, grid_config, tmp_path, monkeypatch
+    ):
+        def never(scenario):
+            raise AssertionError(f"cell {scenario.id} ran")
+
+        monkeypatch.setattr(harness_mod, "run_scenario", never)
+        out = tmp_path / "no_such_dir" / "rows.csv"
+        argv = ["simulate", "--config", grid_config, "--out", str(out), "--workers", "1"]
+        assert main(argv) == 1
+        assert f"No such file or directory: '{out}'" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_failed_run_leaves_existing_out_as_it_was(self, grid_config, tmp_path, monkeypatch):
+        def interrupted(scenario):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness_mod, "run_scenario", interrupted)
+        out = tmp_path / "rows.csv"
+        out.write_text("earlier rows\n")
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", "--config", grid_config, "--out", str(out), "--workers", "1"])
+        assert out.read_text() == "earlier rows\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.yaml", "rows.csv"]
+
     def test_bad_exposure_coding_exits_1_without_csv(self, capsys, grid_config, tmp_path):
         # weighted effect coding divides by the reference level's probability
         doc = load_config(grid_config)
@@ -815,6 +950,19 @@ class TestUsageErrors:
         path.write_text(DGP_DOC + "solvr: numeric\n")
         assert main(["solve", "--config", str(path)]) == 1
         assert "'solvr'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "simulate"])
+    def test_unknown_solver_exits_1(self, capsys, dgp_config, grid_config, tmp_path, command):
+        config = Path(grid_config if command == "simulate" else dgp_config)
+        doc = load_config(str(config))
+        doc["solver"] = "bogus"
+        config.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "rows.csv"
+        extra = {"solve": [], "verify": ["--beta0", "0.0"], "simulate": ["--out", str(out)]}
+        assert main([command, "--config", str(config), *extra[command]]) == 1
+        kind = "grid" if command == "simulate" else "dgp"
+        assert f"unknown solver 'bogus' in {kind} config (expected one of" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file(self, capsys, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.yaml")]) == 1

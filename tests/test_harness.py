@@ -46,7 +46,7 @@ def small_grid(name="g", link=Log(), outcome=NormalOutcome(0.1), **kw):
         link=link,
         outcome=outcome,
         exposure=EXPOSURE,
-        z_axis=(("z", Bernoulli(0.8)), ("z", Normal(0.0, 1.0))),
+        covariate_axis=(("z", Bernoulli(0.8)), ("z", Normal(0.0, 1.0))),
         beta2_axis=(1.0, 2.0),
         target_axis=(0.3, 0.5),
         n=200,
@@ -214,7 +214,7 @@ class TestGridValidation:
 
     def test_duplicate_axis_distributions(self):
         with pytest.raises(ConfigError, match="distinct"):
-            small_grid(z_axis=(("z", Bernoulli(0.8)), ("z", Bernoulli(0.2))))
+            small_grid(covariate_axis=(("z", Bernoulli(0.8)), ("z", Bernoulli(0.2))))
 
     @pytest.mark.parametrize(
         "axes, message",
@@ -260,7 +260,7 @@ class TestExpandGrid:
 class TestRunGrid:
     def test_statuses_and_summary(self):
         cfg = small_grid(
-            z_axis=(("z", Bernoulli(0.8)), ("z", Gamma(1.0, 1.5))),
+            covariate_axis=(("z", Bernoulli(0.8)), ("z", Gamma(1.0, 1.5))),
             beta2_axis=(1.0, 2.0),
             target_axis=(0.5,),
         )
@@ -320,14 +320,14 @@ class TestRunGrid:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         cfg = small_grid(
-            z_axis=(("z", Bernoulli(0.8)),), beta2_axis=(1.0,), target_axis=(0.5,), workers=8
+            covariate_axis=(("z", Bernoulli(0.8)),), beta2_axis=(1.0,), target_axis=(0.5,), workers=8
         )
         assert [r.status for r in run_grid(cfg)] == ["ok"]
 
     def test_bernoulli_outcome_bias_grows_with_target_once_clamped(self):
         cfg = small_grid(
             outcome=BernoulliOutcome(),
-            z_axis=(("z", Normal(0.0, 1.0)),),
+            covariate_axis=(("z", Normal(0.0, 1.0)),),
             beta2_axis=(3.0,),
             target_axis=(0.5, 0.7, 0.9),
             n=2000,
@@ -346,7 +346,7 @@ class TestWriteCsv:
     def _rows(self):
         return run_grid(
             small_grid(
-                z_axis=(("z", Bernoulli(0.8)), ("z", Gamma(1.0, 1.5))),
+                covariate_axis=(("z", Bernoulli(0.8)), ("z", Gamma(1.0, 1.5))),
                 beta2_axis=(2.0,),
                 target_axis=(0.5,),
             )

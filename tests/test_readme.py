@@ -1,7 +1,11 @@
-"""README's library quick start runs as printed."""
+"""README's library quick start runs as printed, and its config blocks parse."""
 
 import re
 from pathlib import Path
+
+import yaml
+
+from balint.cli import parse_dgp_config, parse_grid_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +19,9 @@ def test_quick_start_gives_its_commented_beta0(capsys):
     exec(compile(code, str(README), "exec"), namespace)
     assert namespace["sol"].beta0 == commented
     assert abs(float(capsys.readouterr().out) - 0.5) < 0.05
+
+
+def test_config_blocks_parse():
+    dgp_block, grid_block = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
+    assert [t.name for t in parse_dgp_config(yaml.safe_load(dgp_block)).dgp.terms] == ["x", "z"]
+    assert parse_grid_config(yaml.safe_load(grid_block)).name == "demo"
