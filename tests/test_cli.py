@@ -461,6 +461,53 @@ class TestTopLevelDocuments:
         doc["engine"] = "mc"
         assert parse(doc).engine.n_mc == 100_000
 
+    @pytest.mark.parametrize(
+        "which, key, value, message",
+        [
+            ("grid", "outcome", 5, "outcome must be a mapping"),
+            ("grid", "covariate_axis", [5], "covariate_axis[0] must be a mapping"),
+            ("grid", "covariate_axis", [], "'covariate_axis' in grid config must be a nonempty list"),
+            ("grid", "covariate_axis", {}, "'covariate_axis' in grid config must be a nonempty list"),
+            ("dgp", "covariates", {}, "'covariates' in dgp config must be a list"),
+            ("dgp", "covariates", ["x"], "covariates[0] must be a mapping"),
+        ],
+    )
+    def test_wrong_container_is_named(self, which, key, value, message):
+        parse, doc, _ = _document(which)
+        doc[key] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse(doc)
+
+    @pytest.mark.parametrize("engine", ["exact", None])
+    @pytest.mark.parametrize("which", sorted(_DOCUMENTS))
+    def test_n_mc_outside_the_mc_engine_is_unknown(self, which, engine):
+        # exact reads no draw count, so one given would silently do nothing
+        parse, doc, _ = _document(which)
+        del doc["engine"]
+        if engine is not None:
+            doc["engine"] = engine
+        for n_mc in (5000, True):
+            doc["n_mc"] = n_mc
+            message = f"unknown key 'n_mc' in {which} config (engine 'exact')"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                parse(doc)
+
+    def test_missing_key_named_whatever_the_hash_seed(self, tmp_path):
+        # several keys missing: the first one asked for is named, in a fixed order
+        doc = {**_GRID, "exposure": {}}
+        config = tmp_path / "exposure.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "rows.csv")]
+        errors = set()
+        for seed in range(4):
+            env = {**_child_env(), "PYTHONHASHSEED": str(seed)}
+            proc = subprocess.run(
+                [sys.executable, "-m", "balint", *argv], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 1
+            errors.add(proc.stderr)
+        assert errors == {"error: missing key 'name' in exposure\n"}
+
 
 class TestBundledConfigs:
     def _load(self, filename):
@@ -606,7 +653,8 @@ class TestSolveCommand:
             f"covariates:\n  - {covariate}\n"
             "solver: log_closed_form\n"
         )
-        assert main(["solve", "--config", str(path), "--engine", engine, "--n-mc", "1000"]) == 2
+        n_mc = ["--n-mc", "1000"] if engine == "mc" else []  # exact reads no n_mc
+        assert main(["solve", "--config", str(path), "--engine", engine, *n_mc]) == 2
         err = capsys.readouterr().err
         assert "term 'c'" in err
         assert "underflows" in err
@@ -844,6 +892,38 @@ class TestSimulateCommand:
         assert main(argv) == 1
         assert f"No such file or directory: '{out}'" in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_directory_out_exits_1_before_any_cell_runs(
+        self, capsys, grid_config, tmp_path, monkeypatch
+    ):
+        def never(scenario):
+            raise AssertionError(f"cell {scenario.id} ran")
+
+        monkeypatch.setattr(harness_mod, "run_scenario", never)
+        argv = ["simulate", "--config", grid_config, "--out", str(tmp_path), "--workers", "1"]
+        assert main(argv) == 1
+        assert f"--out '{tmp_path}' is a directory" in capsys.readouterr().err
+        assert not Path(f"{tmp_path}.part").exists()
+
+    @pytest.mark.parametrize(
+        "keys, flags",
+        [({}, ["--n-mc", "1"]), ({"engine": "mc", "n_mc": 5000}, ["--engine", "exact"])],
+        ids=["n-mc-flag", "engine-flag"],
+    )
+    def test_n_mc_under_the_exact_engine_exits_1_before_any_cell_runs(
+        self, capsys, grid_config, tmp_path, monkeypatch, keys, flags
+    ):
+        def never(scenario):
+            raise AssertionError(f"cell {scenario.id} ran")
+
+        monkeypatch.setattr(harness_mod, "run_scenario", never)
+        config = tmp_path / "engine.yaml"
+        config.write_text(yaml.safe_dump({**load_config(grid_config), **keys}))
+        out = tmp_path / "rows.csv"
+        argv = ["simulate", "--config", str(config), "--out", str(out), *flags]
+        assert main(argv) == 1
+        assert "unknown key 'n_mc' in grid config (engine 'exact')" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_run_leaves_existing_out_as_it_was(self, grid_config, tmp_path, monkeypatch):
         def interrupted(scenario):

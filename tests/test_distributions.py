@@ -172,6 +172,11 @@ class TestSampling:
             with pytest.raises(SpecError, match=f"{cls.kind} {field} must be finite"):
                 cls(**{**params, field: bad})
 
+    @pytest.mark.parametrize("probs", [(), ((0.5, 0.5),)])
+    def test_probs_not_a_nonempty_vector_rejected(self, probs):
+        with pytest.raises(SpecError, match="probs must be a nonempty vector"):
+            Categorical(probs=probs)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_probs_rejected(self, bad):
         with pytest.raises(SpecError, match="probs"):
@@ -244,6 +249,28 @@ class TestCategoricalThresholdCount:
         assert lv.dtype == np.int64
         assert lv.min() >= 0 and lv.max() <= len(probs) - 1
         assert np.array_equal(lv, searchsorted_levels(probs, u))
+
+    @given(
+        p=st.integers(2, 600),
+        zeros=st.lists(st.integers(0, 599), max_size=20),
+        n=st.integers(1, 500),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(p=257, zeros=[], n=500, seed=0)  # the first level count past a byte
+    @example(p=300, zeros=[0, 150, 299], n=500, seed=1)
+    @settings(max_examples=100, deadline=None)
+    def test_counts_past_a_byte_equal_searchsorted(self, p, zeros, n, seed):
+        # above 256 levels the count is kept in uint16, not uint8
+        w = np.ones(p)
+        w[[i for i in zeros if i < p]] = 0.0
+        assume(w.sum() > 0.0)
+        probs = tuple(float(v) for v in w / w.sum())
+        buf = np.empty(n)
+        lv = Categorical(probs=probs).sample(n, RngStream(seed), out=buf)
+        expected = searchsorted_levels(probs, RngStream(seed).generator().random(n))
+        assert lv.dtype == np.int64
+        assert np.shares_memory(lv, buf)
+        assert np.array_equal(lv, expected)
 
 
 class TestMean:

@@ -109,6 +109,19 @@ class TestConstruction:
         with pytest.raises(SpecError):
             MonteCarlo(n_mc=1)
 
+    def test_unknown_clamp_policy(self):
+        with pytest.raises(SpecError, match="unknown clamp policy 'wrap'"):
+            BernoulliOutcome("wrap")
+
+    def test_empty_term_name(self):
+        with pytest.raises(SpecError, match="term name must be a nonempty string"):
+            Term("", Normal(0.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target(self, target):
+        with pytest.raises(SpecError, match="target_mean must be finite"):
+            DgpSpec((), Identity(), NormalOutcome(1.0), target)
+
 
 class TestTermMoments:
     def test_continuous_moments_come_from_the_spec(self):
@@ -390,6 +403,16 @@ class TestSolveNumeric:
         assert sol.beta0 == -0.5
         assert sol.residual == 0.0
         assert sol.method == "numeric"
+
+    @pytest.mark.parametrize("target", [0.1, 0.3, 0.5])
+    def test_root_at_the_upper_bracket_end(self, target):
+        # eta is -1 on every draw, so the root is exactly g(target) + 1: the
+        # first bracket's upper end, taken before any bisection
+        dgp = DgpSpec((Term("d", Bernoulli(1.0), -1.0),), Logit(), BernoulliOutcome(), target)
+        sol = solve_numeric(dgp, engine=ExactEnumeration())
+        assert sol.beta0 == Logit().apply(target) + 1.0
+        assert sol.iterations == 0
+        assert sol.residual <= 1e-10
 
     def test_identity_agrees_with_linear_scale(self):
         dgp = DgpSpec(
