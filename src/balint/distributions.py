@@ -135,6 +135,8 @@ class Bernoulli:
         return float(self.p)
 
     def mgf(self, t: float) -> float:
+        if self.p == 0.0:  # exp(t) may overflow, and 0 * exp(t) is 0
+            return 1.0
         return 1.0 - self.p + self.p * math.exp(t)
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,10 @@ its target:
                         the route for logit and for anything without a closed
                         form. Monotone because g^-1 is strictly increasing.
 
+The link (links.py) owns its domain, the moment of eta it balances and the
+exact mean those moments give; moment_mean sums the moments, for the linear
+scale's residual and for verification, where the link has them (identity, log).
+
 The expectation engine behind the numeric route is either exact enumeration
 over finite covariate supports or Monte Carlo over independent per-term
 draws; with the MC engine the draws are frozen once per solve (common random
@@ -40,7 +44,6 @@ from .distributions import Categorical, CovariateSpec, RngStream
 from .errors import (
     EngineMismatchError,
     InfeasibleError,
-    LinkDomainError,
     MgfDomainError,
     NoRootError,
     SpecError,
@@ -48,7 +51,7 @@ from .errors import (
     WrongLinkError,
 )
 from .expectation import WORKSPACE, Enumerated, Expectation, FrozenDraws, Residual
-from .links import Identity, Link, Log, Logit
+from .links import Link, Log
 
 __all__ = [
     "CLAMPS",
@@ -64,6 +67,7 @@ __all__ = [
     "InterceptSolution",
     "solve_linear_scale",
     "solve_log_closed_form",
+    "moment_mean",
     "expectation_of_mean",
     "solve_numeric",
     "default_tol",
@@ -174,11 +178,13 @@ class Term:
     def exp_moment(self) -> float:
         """E[exp(beta' X)], inf where it overflows a double and 0.0 where it underflows.
 
-        Raises, naming the term, where no moment exists.
+        A level of probability 0 adds nothing, however large its exp. Raises,
+        naming the term, where no moment exists.
         """
         try:
             if isinstance(self.spec, Categorical):
-                return float(sum(p * math.exp(e) for p, e in zip(self.spec.probs, self._level_eta)))
+                levels = zip(self.spec.probs, self._level_eta)
+                return float(sum(p * math.exp(e) for p, e in levels if p > 0.0))
             return self.spec.mgf(self.beta)
         except MgfDomainError as e:
             raise MgfDomainError(f"term '{self.name}': {e}") from None
@@ -232,10 +238,7 @@ class DgpSpec:
         t = self.target_mean
         if not math.isfinite(t):
             raise SpecError(f"target_mean must be finite, got {t}")
-        if isinstance(self.link, Log) and t <= 0.0:
-            raise LinkDomainError(f"log link needs target_mean > 0, got {t}")
-        if isinstance(self.link, Logit) and not 0.0 < t < 1.0:
-            raise LinkDomainError(f"logit link needs target_mean strictly inside (0, 1), got {t}")
+        self.link.check(t, "target_mean")
         if isinstance(self.outcome, BernoulliOutcome) and not 0.0 < t < 1.0:
             raise SpecError(f"a Bernoulli outcome needs target_mean in (0, 1), got {t}")
 
@@ -269,14 +272,18 @@ class InterceptSolution:
     warnings: frozenset[str] = frozenset()
 
 
-def _exact_exp_moment(term: Term) -> float:
-    """E[exp(beta' X)] for one term; raises where none exists or it is not a positive double."""
-    moment = term.exp_moment()
-    if moment == math.inf:
-        raise InfeasibleError(f"term '{term.name}': E[exp(beta' X)] overflows a double")
-    if moment == 0.0:
-        raise InfeasibleError(f"term '{term.name}': E[exp(beta' X)] underflows to 0 in a double")
-    return moment
+def moment_mean(beta0: float, dgp: DgpSpec) -> Optional[float]:
+    """E[g^-1(beta0 + eta)] from the terms' summed Link.moment, exact to rounding.
+
+    None under logit and where a moment underflows; raises, naming the term, where one does not exist.
+    """
+    moments = [dgp.link.moment(term) for term in dgp.terms]
+    total = 0.0
+    for moment in moments:
+        if moment is None or moment == -math.inf:
+            return None
+        total += moment
+    return dgp.link.exact_mean(beta0 + total)
 
 
 def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
@@ -285,50 +292,28 @@ def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
     Exact for the identity link. For log/logit the same arithmetic is the
     naive approximation that ignores E[g^-1(...)] != g^-1(E[...]); it is
     returned for comparison purposes with a 'naive_linear_scale' warning and
-    its true residual where that is tractable.
+    its true residual where that is tractable (moment_mean, else enumeration).
     """
     g = dgp.link.apply(dgp.target_mean)
     s = 0.0
     for term in dgp.terms:
         s += term.mean()
     beta0 = g - s
-    if isinstance(dgp.link, Identity):
-        return InterceptSolution(
-            beta0=beta0,
-            method="linear_scale",
-            residual=abs((beta0 + s) - dgp.target_mean),
-            iterations=0,
-            mc_se=0.0,
-        )
-    warnings = {"naive_linear_scale"}
-    residual = math.nan
-    if isinstance(dgp.link, Log):
-        try:
-            moments = [term.exp_moment() for term in dgp.terms]
-        except MgfDomainError:
-            residual = math.inf  # a divergent moment
-        else:
-            if 0.0 in moments:
-                # an underflowed moment leaves the product unknown
-                warnings.add("residual_unverified")
-            else:
-                # in logs, so that exp(beta0) > ~709 cannot overflow a finite
-                # product; an overflowing moment or product gives inf
-                ln_total = sum(math.log(m) for m in moments)
-                try:
-                    residual = abs(math.exp(beta0 + ln_total) - dgp.target_mean)
-                except OverflowError:
-                    residual = math.inf
-    else:
+    warnings = set() if dgp.link.linear else {"naive_linear_scale"}
+    try:
+        value = moment_mean(beta0, dgp)
+    except MgfDomainError:
+        value = math.inf  # a divergent moment
+    if value is None:
         try:
             value, _ = expectation_of_mean(beta0, dgp, ExactEnumeration())
-            residual = abs(value - dgp.target_mean)
         except EngineMismatchError:
+            value = math.nan
             warnings.add("residual_unverified")
     return InterceptSolution(
         beta0=beta0,
         method="linear_scale",
-        residual=residual,
+        residual=abs(value - dgp.target_mean),
         iterations=0,
         mc_se=0.0,
         warnings=frozenset(warnings),
@@ -344,13 +329,16 @@ def solve_log_closed_form(dgp: DgpSpec) -> InterceptSolution:
     outside the MGF's domain) has no balancing intercept, and the error names
     it; no engine changes that, so the solver takes none.
     """
-    if not isinstance(dgp.link, Log):
-        raise WrongLinkError(
-            f"the closed form solves the log link only, got '{dgp.link.name}'"
-        )
+    if dgp.link.name != Log.name:
+        raise WrongLinkError(f"the closed form solves the log link only, got '{dgp.link.name}'")
     ln_total = 0.0
     for term in dgp.terms:
-        ln_total += math.log(_exact_exp_moment(term))
+        ln_moment = dgp.link.moment(term)
+        if ln_moment == math.inf:
+            raise InfeasibleError(f"term '{term.name}': E[exp(beta' X)] overflows a double")
+        if ln_moment == -math.inf:
+            raise InfeasibleError(f"term '{term.name}': E[exp(beta' X)] underflows to 0 in a double")
+        ln_total += ln_moment
     beta0 = math.log(dgp.target_mean) - ln_total
     residual = abs(math.exp(beta0 + ln_total) - dgp.target_mean)
     return InterceptSolution(
@@ -363,7 +351,10 @@ def solve_log_closed_form(dgp: DgpSpec) -> InterceptSolution:
 
 
 def _eta_support(dgp: DgpSpec) -> tuple[np.ndarray, np.ndarray]:
-    """All attainable values of eta - beta0 with their probabilities."""
+    """All attainable values of eta - beta0 with their probabilities, but none of probability 0.
+
+    Such a point adds nothing to a mean, and its g^-1 may overflow to make it 0 * inf.
+    """
     etas = np.zeros(1)
     probs = np.ones(1)
     for term in dgp.terms:
@@ -373,6 +364,7 @@ def _eta_support(dgp: DgpSpec) -> tuple[np.ndarray, np.ndarray]:
                 "needs finite supports"
             )
         levels, pr = term.spec.support()
+        levels, pr = levels[pr > 0.0], pr[pr > 0.0]
         contrib = term.eta(levels)
         if etas.size * contrib.size > MAX_ENUM_SUPPORT:
             raise EngineMismatchError(
@@ -397,32 +389,16 @@ def _eta_draws(
     return eta
 
 
-def _check_moments(dgp: DgpSpec) -> None:
-    """Refuse, by term name, a term whose moment the link balances does not exist.
-
-    Under log the solver balances E[exp(beta0 + eta)], which needs every
-    E[exp(beta' X)] finite (MgfDomainError); under identity it
-    balances E[eta], which needs every mean (UndefinedMomentError). A sample
-    of a moment that does not exist still has a finite mean, which converges
-    to nothing as n_mc grows. g^-1 of the logit link is bounded, so every
-    logit expectation exists.
-    """
-    for term in dgp.terms:
-        if isinstance(dgp.link, Log):
-            term.exp_moment()
-        elif isinstance(dgp.link, Identity):
-            term.mean()
-
-
 @contextmanager
 def _expectation(dgp: DgpSpec, engine: Engine, rng: Optional[RngStream]) -> Iterator[Expectation]:
     """b0 -> E[g^-1(b0 + eta)] under the engine, for a with block.
 
-    A term whose balanced moment does not exist is refused first
-    (_check_moments). Monte Carlo draws are frozen here, in arrays borrowed
-    from WORKSPACE until the block ends.
+    A term whose Link.moment does not exist is refused first, since a sample
+    would estimate nothing. Monte Carlo draws are frozen here, in arrays
+    borrowed from WORKSPACE until the block ends.
     """
-    _check_moments(dgp)
+    for term in dgp.terms:
+        dgp.link.moment(term)
     if isinstance(engine, ExactEnumeration):
         yield Enumerated(dgp.link, *_eta_support(dgp))
         return
@@ -462,12 +438,8 @@ def solve_numeric(
     evaluation sees the same sample. The draws and every evaluation live in
     three n_mc arrays borrowed from the thread's expectation.WORKSPACE, so a
     solve allocates nothing of size n_mc after the first; mc_se comes from
-    the evaluation at the returned beta0.
-
-    A term whose moment the link balances does not exist is refused by name
-    before anything is drawn: under log one whose E[exp(beta' X)] is
-    infinite (MgfDomainError), under identity one without a mean
-    (UndefinedMomentError). Every logit expectation exists.
+    the evaluation at the returned beta0. A term whose Link.moment does not
+    exist is refused by name before anything is drawn.
 
     Each step asks one question of the residual f (f <= 0, 0 <= f, f < 0,
     f <= tol or -tol <= f). It is answered from a certified interval around

@@ -1,13 +1,15 @@
-"""Link functions: forward map g, inverse g^-1, and their domains.
+"""Link functions: g, g^-1, the domain of g, and the moment of eta each link balances.
 
 All three inverses are total on the reals and strictly increasing, which is
-what the numeric intercept solver's bracketing relies on. apply() enforces the
-forward domain (log: mu > 0; logit: 0 < mu < 1) and raises LinkDomainError
-outside it.
+what the numeric intercept solver's bracketing relies on. Each link writes its
+domain once, an open interval that check() holds apply()'s mean and DgpSpec's
+target to. E[g^-1(b0 + eta)] is exact_mean(b0 + the terms' summed moment(term)),
+a term's moment being E[beta' X] under identity and log E[exp(beta' X)] under log.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -23,12 +25,33 @@ def _returning_like(x, result, out=None):
     return float(result) if out is None and np.ndim(x) == 0 else result
 
 
+class _Link:
+    """What the links share: check() against domain, and no balanced moment unless they define one."""
+
+    linear = False  # g^-1 linear makes the linear-scale intercept exact
+
+    def check(self, mu, what: str = "mu") -> np.ndarray:
+        m = np.asarray(mu, dtype=float)
+        lo, hi = self.domain
+        if ((m <= lo) | (m >= hi)).any():
+            raise LinkDomainError(f"{self.name} link requires {lo:g} < {what} < {hi:g}, got {mu}")
+        return m
+
+    def moment(self, term) -> None:
+        return None
+
+    def exact_mean(self, x: float) -> None:
+        return None
+
+
 @dataclass(frozen=True)
-class Identity:
+class Identity(_Link):
     name = "identity"
+    domain = (-math.inf, math.inf)
+    linear = True
 
     def apply(self, mu):
-        return _returning_like(mu, np.asarray(mu, dtype=float))
+        return _returning_like(mu, self.check(mu))
 
     def invert(self, eta, out=None, scratch=None):
         e = np.asarray(eta, dtype=float)
@@ -37,16 +60,20 @@ class Identity:
         np.copyto(out, e)
         return out
 
+    def moment(self, term) -> float:
+        return term.mean()
+
+    def exact_mean(self, x: float) -> float:
+        return x
+
 
 @dataclass(frozen=True)
-class Log:
+class Log(_Link):
     name = "log"
+    domain = (0.0, math.inf)
 
     def apply(self, mu):
-        m = np.asarray(mu, dtype=float)
-        if np.any(m <= 0.0):
-            raise LinkDomainError("log link requires mu > 0")
-        return _returning_like(mu, np.log(m))
+        return _returning_like(mu, np.log(self.check(mu)))
 
     def invert(self, eta, out=None, scratch=None):
         e = np.asarray(eta, dtype=float)
@@ -55,15 +82,25 @@ class Log:
         with np.errstate(over="ignore"):
             return _returning_like(eta, np.exp(e, out=out), out)
 
+    def moment(self, term) -> float:
+        """log E[exp(beta' X)], +inf or -inf past a double; in logs, exp(b0) may pass that range."""
+        m = term.exp_moment()
+        return -math.inf if m == 0.0 else math.log(m)
+
+    def exact_mean(self, x: float) -> float:
+        try:
+            return math.exp(x)
+        except OverflowError:
+            return math.inf
+
 
 @dataclass(frozen=True)
-class Logit:
+class Logit(_Link):
     name = "logit"
+    domain = (0.0, 1.0)
 
     def apply(self, mu):
-        m = np.asarray(mu, dtype=float)
-        if np.any((m <= 0.0) | (m >= 1.0)):
-            raise LinkDomainError("logit link requires 0 < mu < 1")
+        m = self.check(mu)
         return _returning_like(mu, np.log(m / (1.0 - m)))
 
     def invert(self, eta, out=None, scratch=None):

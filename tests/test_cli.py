@@ -776,26 +776,64 @@ class TestVerifyCommand:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
 
-    def test_monte_carlo_verification(self, capsys, dgp_config):
-        code = main(
-            [
-                "verify",
-                "--config",
-                dgp_config,
-                "--beta0",
-                repr(LOG_BETA0),
-                "--engine",
-                "mc",
-                "--n-mc",
-                "20000",
-            ]
-        )
+    def test_monte_carlo_verification(self, capsys, tmp_path):
+        # logit has no moment to sum, so verify samples under the mc engine
+        path = tmp_path / "logit.yaml"
+        path.write_text(DGP_DOC.replace("link: log", "link: logit").replace("log_closed_form", "numeric"))
+        row = solve_row(capsys, ["solve", "--config", str(path)])
+        argv = ["verify", "--config", str(path), "--beta0", row["beta0"], "--engine", "mc"]
+        code = main([*argv, "--n-mc", "20000"])
         out = capsys.readouterr().out
         assert code == 0
         parsed = dict(zip(*csv.reader(io.StringIO(out))))
         se = float(parsed["se"])
         assert se > 0.0
         assert float(parsed["gap"]) <= 4 * se
+
+    @pytest.mark.parametrize("seed", [39, 68, 95, 146, 168, 183])
+    def test_infinite_variance_verifies_from_the_moments(self, capsys, tmp_path, seed):
+        # E[exp(z)] is finite for z ~ Gamma(1, 1.5) but E[exp(2z)] is not, so
+        # a sample's 4*se understated its error and verify --engine mc exited
+        # 3 at these seeds, on the exact closed-form intercept
+        path = tmp_path / "gamma.yaml"
+        z = "  - {name: z, dist: gamma, shape: 1.0, rate: 1.5, beta: 1.0}\n"
+        path.write_text(DGP_DOC.replace("solver:", z + "solver:"))
+        row = solve_row(capsys, ["solve", "--config", str(path)])
+        argv = ["verify", "--config", str(path), "--beta0", row["beta0"], "--engine", "mc"]
+        code = main([*argv, "--seed", str(seed)])
+        parsed = dict(zip(*csv.reader(io.StringIO(capsys.readouterr().out))))
+        assert code == 0
+        assert parsed["se"] == "0"
+        assert float(parsed["gap"]) <= 1e-15
+
+    def test_exact_engine_verifies_a_continuous_log_term(self, capsys, tmp_path):
+        # the summed moments need no finite support
+        path = tmp_path / "normal.yaml"
+        z = "  - {name: z, dist: normal, mu: 0.0, sigma: 1.0, beta: 1.0}\n"
+        path.write_text(DGP_DOC.replace("solver:", z + "solver:"))
+        beta0 = repr(LOG_BETA0 - 0.5)  # E[exp(z)] = e^0.5
+        assert main(["verify", "--config", str(path), "--beta0", beta0, "--engine", "exact"]) == 0
+        parsed = dict(zip(*csv.reader(io.StringIO(capsys.readouterr().out))))
+        assert parsed["se"] == "0"
+        assert float(parsed["gap"]) <= 1e-15
+
+    def test_underflowing_moment_keeps_the_engine(self, capsys, tmp_path):
+        # E[exp(z)] = e^-799.5 underflows, so the moments cannot give the mean
+        # and the engine does; e^(beta0 + z) itself is of order 1
+        path = tmp_path / "far.yaml"
+        path.write_text(
+            "link: log\ntarget_mean: 0.5\n"
+            "outcome: {family: normal, sd: 0.1}\n"
+            "covariates:\n  - {name: z, dist: normal, mu: -800.0, sigma: 1.0, beta: 1.0}\n"
+            "solver: log_closed_form\n"
+        )
+        beta0 = repr(math.log(0.5) + 799.5)
+        assert main(["verify", "--config", str(path), "--beta0", beta0, "--engine", "exact"]) == 1
+        assert "continuous" in capsys.readouterr().err
+        assert main(["verify", "--config", str(path), "--beta0", beta0, "--engine", "mc"]) == 0
+        parsed = dict(zip(*csv.reader(io.StringIO(capsys.readouterr().out))))
+        assert float(parsed["se"]) > 0.0
+        assert float(parsed["gap"]) <= 4 * float(parsed["se"])
 
 
 class TestSimulateCommand:

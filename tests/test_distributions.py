@@ -315,6 +315,13 @@ class TestMgf:
             0.65 + 0.35 * math.exp(1.3), rel=1e-14
         )
 
+    def test_bernoulli_without_mass_at_one(self):
+        # exp(800) overflows a double, but a point of probability 0 adds nothing
+        assert Bernoulli(0.0).mgf(800.0) == 1.0
+        assert Bernoulli(0.0).mgf(-800.0) == 1.0
+        with pytest.raises(OverflowError):
+            Bernoulli(1e-300).mgf(800.0)
+
     def test_gamma_domain_error(self):
         with pytest.raises(MgfDomainError):
             Gamma(1.0, 1.5).mgf(2.0)

@@ -143,6 +143,27 @@ class TestTermMoments:
             Term("g", Gamma(1.0, 1.5), 2.0).exp_moment()
 
 
+@st.composite
+def _finite_support_dgps(draw):
+    """1-3 Bernoulli or categorical terms, zero-probability points included, under log or identity."""
+    link = draw(st.sampled_from([Identity(), Log()]))
+    terms = []
+    for i in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            spec = Bernoulli(draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
+            beta = draw(st.floats(-3.0, 3.0))
+        else:
+            p = draw(st.integers(2, 4))
+            raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=p, max_size=p))
+            raw[0] = raw[0] or 1.0  # mass on the reference level, which weighted effect coding needs
+            total = sum(raw)
+            spec = Categorical(tuple(v / total for v in raw), draw(st.sampled_from(CODINGS)))
+            beta = tuple(draw(st.floats(-3.0, 3.0)) for _ in range(p - 1))
+        terms.append(Term(f"x{i}", spec, beta))
+    target = draw(st.floats(-2.0, 2.0) if link == Identity() else st.floats(0.05, 5.0))
+    return DgpSpec(tuple(terms), link, NormalOutcome(1.0), target)
+
+
 class TestLinearScale:
     def test_identity_exact(self):
         dgp = DgpSpec(
@@ -242,6 +263,16 @@ class TestLinearScale:
         )
         with pytest.raises(UndefinedMomentError, match="term 'c'"):
             solve_linear_scale(dgp)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_finite_support_dgps())
+    def test_moment_residual_equals_enumeration(self, dgp):
+        # the residual from the summed link moments against an independent
+        # route, exact enumeration of the joint support
+        sol = solve_linear_scale(dgp)
+        value, _ = expectation_of_mean(sol.beta0, dgp)
+        assert sol.residual == pytest.approx(abs(value - dgp.target_mean), rel=1e-12, abs=1e-12)
+
 
 class TestLogClosedForm:
     def test_categorical_oracle(self):
@@ -346,6 +377,43 @@ class TestLogClosedForm:
         assert sol.beta0 == pytest.approx(LOG_BETA0, abs=1e-14)
         assert sol.mc_se == 0.0
         assert sol.warnings == frozenset()
+
+@pytest.mark.parametrize(
+    "term",
+    [Term("c", Categorical((1.0, 0.0)), (800.0,)), Term("b", Bernoulli(0.0), 800.0)],
+    ids=["categorical", "bernoulli"],
+)
+class TestZeroProbabilityPoints:
+    """A point of probability 0 adds nothing to E[exp(beta' X)] = 1, though exp(800) overflows."""
+
+    def dgp(self, term):
+        return DgpSpec((term,), Log(), NormalOutcome(0.1), 0.5)
+
+    def test_exp_moment(self, term):
+        assert term.exp_moment() == 1.0
+
+    def test_support_leaves_the_point_out(self, term):
+        etas, probs = intercept_mod._eta_support(self.dgp(term))
+        assert etas.tolist() == [0.0]
+        assert probs.tolist() == [1.0]
+
+    def test_log_closed_form(self, term):
+        sol = solve_log_closed_form(self.dgp(term))
+        assert sol.beta0 == math.log(0.5)
+        assert sol.residual == 0.0
+
+    def test_linear_scale_residual(self, term):
+        sol = solve_linear_scale(self.dgp(term))
+        assert sol.beta0 == math.log(0.5)
+        assert sol.residual == 0.0
+        assert sol.warnings == frozenset({"naive_linear_scale"})
+
+    @pytest.mark.parametrize("engine", [ExactEnumeration(), MonteCarlo(1000)], ids=["exact", "mc"])
+    def test_numeric(self, term, engine):
+        # a RuntimeWarning (0 * inf) would fail the suite
+        sol = solve_numeric(self.dgp(term), engine=engine, tol=1e-12, rng=RngStream(3))
+        assert sol.beta0 == pytest.approx(math.log(0.5), abs=1e-11)
+
 
 class TestExpectationOfMean:
     def test_no_covariates_identity(self):

@@ -4,7 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balint import Identity, Link, LinkDomainError, Log, Logit, link_by_name
+from balint import (
+    Categorical,
+    DgpSpec,
+    Identity,
+    Link,
+    LinkDomainError,
+    Log,
+    Logit,
+    Normal,
+    NormalOutcome,
+    Term,
+    link_by_name,
+)
 
 LINKS = [Identity(), Log(), Logit()]
 
@@ -93,6 +105,24 @@ class TestDomainErrors:
             Log().apply(np.array([1.0, 0.0, 2.0]))
         with pytest.raises(LinkDomainError):
             Logit().apply(np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("mu", [math.inf, -math.inf])
+    def test_identity_rejects_infinite_mean(self, mu):
+        with pytest.raises(LinkDomainError, match="identity link requires -inf < mu < inf"):
+            Identity().apply(mu)
+
+    @pytest.mark.parametrize(
+        "link, target, domain",
+        [
+            (Log(), -1.0, "log link requires 0 < {} < inf"),
+            (Logit(), 1.3, "logit link requires 0 < {} < 1"),
+        ],
+    )
+    def test_target_checked_against_the_same_domain(self, link, target, domain):
+        with pytest.raises(LinkDomainError, match=domain.format("mu")):
+            link.apply(target)
+        with pytest.raises(LinkDomainError, match=domain.format("target_mean") + f", got {target}"):
+            DgpSpec((), link, NormalOutcome(1.0), target)
 
 
 class TestExtremeStability:
@@ -211,6 +241,30 @@ class TestOutContract:
     )
     def test_scalar_and_0d_give_python_float(self, link, eta):
         assert type(link.invert(eta)) is float
+
+
+Z = Term("z", Normal(0.3, 1.0), 2.0)
+
+
+class TestBalancedMoment:
+    """The moment of eta each link balances, and the mean that the summed moments give."""
+
+    def test_identity_balances_the_mean(self):
+        assert Identity().moment(Z) == Z.mean()
+        assert Identity().exact_mean(-1.25) == -1.25
+
+    def test_log_balances_the_log_exp_moment(self):
+        assert Log().moment(Z) == math.log(Z.exp_moment())
+        assert Log().exact_mean(0.0) == 1.0
+
+    def test_log_moment_beyond_a_double(self):
+        assert Log().moment(Term("z", Normal(0.0, 1.0), 40.0)) == math.inf
+        assert Log().moment(Term("c", Categorical((0.0, 1.0)), (-800.0,))) == -math.inf
+        assert Log().exact_mean(800.0) == math.inf
+
+    def test_logit_has_none(self):
+        assert Logit().moment(Z) is None
+        assert Logit().exact_mean(0.0) is None
 
 
 class TestRegistry:
