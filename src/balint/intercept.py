@@ -275,15 +275,15 @@ class InterceptSolution:
 def moment_mean(beta0: float, dgp: DgpSpec) -> Optional[float]:
     """E[g^-1(beta0 + eta)] from the terms' summed Link.moment, exact to rounding.
 
-    None under logit and where a moment underflows; raises, naming the term, where one does not exist.
+    None under logit or where the moments' sum is not finite; raises by term name where one does not exist.
     """
     moments = [dgp.link.moment(term) for term in dgp.terms]
+    if None in moments:
+        return None
     total = 0.0
     for moment in moments:
-        if moment is None or moment == -math.inf:
-            return None
         total += moment
-    return dgp.link.exact_mean(beta0 + total)
+    return dgp.link.exact_mean(beta0 + total) if math.isfinite(total) else None
 
 
 def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:

@@ -3,8 +3,8 @@
 All three inverses are total on the reals and strictly increasing, which is
 what the numeric intercept solver's bracketing relies on. Each link writes its
 domain once, an open interval that check() holds apply()'s mean and DgpSpec's
-target to. E[g^-1(b0 + eta)] is exact_mean(b0 + the terms' summed moment(term)),
-a term's moment being E[beta' X] under identity and log E[exp(beta' X)] under log.
+target to. E[g^-1(b0 + eta)] is exact_mean(b0 + sum of moment(term)) where that
+sum is finite; a term's moment is E[beta' X] (identity) or log E[exp(beta' X)] (log).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class _Link:
     def moment(self, term) -> None:
         return None
 
-    def exact_mean(self, x: float) -> None:
+    def exact_mean(self, x: float) -> None:  # reached by a logit DGP with no terms
         return None
 
 

@@ -817,6 +817,22 @@ class TestVerifyCommand:
         assert parsed["se"] == "0"
         assert float(parsed["gap"]) <= 1e-15
 
+    def test_overflowing_moment_keeps_the_engine(self, capsys, tmp_path):
+        # E[exp(800 x)] overflows a double, while the numeric root beta0 ~ -800
+        # gives a mean of 0.5; the engine enumerates it
+        path = tmp_path / "big.yaml"
+        path.write_text(
+            "link: log\ntarget_mean: 0.5\n"
+            "outcome: {family: normal, sd: 0.1}\n"
+            "covariates:\n  - {name: c, dist: categorical, probs: [0.5, 0.5], betas: [800.0]}\n"
+            "solver: numeric\n"
+        )
+        row = solve_row(capsys, ["solve", "--config", str(path)])
+        argv = ["verify", "--config", str(path), "--beta0", row["beta0"], "--engine", "exact"]
+        assert main(argv) == 0
+        parsed = dict(zip(*csv.reader(io.StringIO(capsys.readouterr().out))))
+        assert float(parsed["achieved_mean"]) == pytest.approx(0.5, abs=1e-9)
+
     def test_underflowing_moment_keeps_the_engine(self, capsys, tmp_path):
         # E[exp(z)] = e^-799.5 underflows, so the moments cannot give the mean
         # and the engine does; e^(beta0 + z) itself is of order 1

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import balint.expectation as expectation_mod
 import balint.intercept as intercept_mod
+from balint.intercept import moment_mean
 from balint import (
     Bernoulli,
     BernoulliOutcome,
@@ -222,15 +223,25 @@ class TestLinearScale:
         assert sol.residual == math.inf
         assert "naive_linear_scale" in sol.warnings
 
-    @pytest.mark.parametrize(
-        "term",
-        [Term("k", Categorical(probs=(0.5, 0.5)), (800.0,)), Term("k", Normal(0.0, 1.0), 40.0)],
-        ids=["categorical", "normal"],
-    )
-    def test_log_overflowing_moment_residual_inf(self, term):
-        sol = solve_linear_scale(DgpSpec((term,), Log(), NormalOutcome(0.1), 0.5))
-        assert sol.residual == math.inf
+    def test_log_overflowing_moment_residual_enumerated(self):
+        # E[exp(800 X)] overflows a double, but beta0 = log(0.5) - 400 brings
+        # the mean, 0.25 * (e^-400 + e^400), back within range
+        dgp = DgpSpec(
+            (Term("k", Categorical(probs=(0.5, 0.5)), (800.0,)),), Log(), NormalOutcome(0.1), 0.5
+        )
+        sol = solve_linear_scale(dgp)
+        value, _ = expectation_of_mean(sol.beta0, dgp)
+        assert math.isfinite(sol.residual)
+        assert sol.residual == abs(value - 0.5)
         assert sol.warnings == frozenset({"naive_linear_scale"})
+
+    def test_log_overflowing_continuous_moment_residual_unverified(self):
+        # E[exp(80 Z)] = e^832 overflows, yet beta0 = log(0.5) - 800 makes the
+        # mean 0.5 * e^32, finite; no finite support can be enumerated
+        dgp = DgpSpec((Term("k", Normal(10.0, 0.1), 80.0),), Log(), NormalOutcome(0.1), 0.5)
+        sol = solve_linear_scale(dgp)
+        assert math.isnan(sol.residual)
+        assert sol.warnings == frozenset({"naive_linear_scale", "residual_unverified"})
 
     def test_log_residual_survives_exp_beta0_overflow(self):
         # beta0 = log(1e6) + 700 > 709.78, so exp(beta0) alone overflows a
@@ -272,6 +283,34 @@ class TestLinearScale:
         sol = solve_linear_scale(dgp)
         value, _ = expectation_of_mean(sol.beta0, dgp)
         assert sol.residual == pytest.approx(abs(value - dgp.target_mean), rel=1e-12, abs=1e-12)
+
+
+class TestMomentMean:
+    """The mean from the summed link moments, or None where a double cannot hold them."""
+
+    def test_log_and_identity_give_the_exact_mean(self):
+        assert moment_mean(LOG_BETA0, cat_dgp()) == pytest.approx(0.5, rel=1e-15)
+        z = Term("z", Normal(0.3, 1.0), 2.0)
+        assert moment_mean(-0.1, DgpSpec((z,), Identity(), NormalOutcome(0.1), 0.5)) == -0.1 + 0.6
+
+    @pytest.mark.parametrize(
+        "link, terms",
+        [
+            (Log(), (Term("k", Categorical(probs=(0.5, 0.5)), (800.0,)),)),
+            (Log(), (Term("k", Categorical(probs=(0.0, 1.0)), (-800.0,)),)),
+            (Identity(), (Term("z", Normal(1e300, 1.0), 1e10),)),
+            (Identity(), (Term("z", Normal(1e300, 1.0), -1e10),)),
+            (Identity(), (Term("y", Normal(1e308, 1.0), 1.0), Term("z", Normal(1e308, 1.0), 1.0))),
+        ],
+        ids=["log-overflow", "log-underflow", "identity-overflow", "identity-underflow", "identity-sum"],
+    )
+    def test_moments_past_a_double_give_none(self, link, terms):
+        assert moment_mean(0.0, DgpSpec(terms, link, NormalOutcome(0.1), 0.5)) is None
+
+    def test_logit_gives_none(self):
+        assert moment_mean(0.0, cat_dgp(link=Logit())) is None
+        # with no terms the loop sees no moment, and the link's exact_mean answers
+        assert moment_mean(0.0, DgpSpec((), Logit(), NormalOutcome(0.1), 0.5)) is None
 
 
 class TestLogClosedForm:
