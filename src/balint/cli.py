@@ -5,8 +5,14 @@ a hard error naming the key, so typos never silently fall back to defaults.
 Command-line flags override file values. All randomness flows from the
 config's master_seed (or its --seed override); nothing is wall-clock seeded.
 
+The engine is a config kind in _KINDS, beside a covariate's dist and an
+outcome's family: the top-level engine key names its class (exact when the
+key is absent), and that class's dataclass fields are its other keys (n_mc
+under mc). A new engine class in intercept.Engine needs no edit here.
+
 Exit codes: 0 success; 1 usage or config error; 2 mathematical infeasibility
-(divergent moment, missing MGF, no root); 3 verification gap too large.
+(divergent moment, missing MGF, no root); 3 verification gap too large, or
+a sample's se that is not finite.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from .intercept import (
     SOLVER_NAMES,
     Solver,
     Term,
-    default_tol,
     expectation_of_mean,
     moment_mean,
     solve,
@@ -118,11 +123,12 @@ def _parse_fields(cls, entry: dict, where: str, keys=(), required=(), **read):
 _KINDS = {
     "dist": ("distribution", {cls.kind: cls for cls in get_args(CovariateSpec)}),
     "family": ("outcome family", {cls.family: cls for cls in get_args(OutcomeFamily)}),
+    "engine": ("engine", {cls.name: cls for cls in get_args(Engine)}),
 }
 
 
 def _parse_kind(entry, where: str, switch: str, keys=(), required=()):
-    """The class that entry[switch] names ('dist' or 'family'), built by _parse_fields."""
+    """The class that entry[switch] names ('dist', 'family' or 'engine'), built by _parse_fields."""
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be a mapping")
     if switch not in entry:
@@ -134,23 +140,14 @@ def _parse_kind(entry, where: str, switch: str, keys=(), required=()):
     return _parse_fields(kinds[name], entry, where, (switch, *keys), (switch, *required))
 
 
-_ENGINES = {cls.name: cls for cls in get_args(Engine)}
-# the keys some engine reads besides 'engine' (n_mc)
-_ENGINE_FIELDS = {f.name for cls in _ENGINES.values() for f in fields(cls)}
-
-
 def _parse_document(cls, doc: dict, where: str):
-    """cls from a top-level document: its engine (exact if unnamed) from its own keys, then the rest."""
-    name = _str(doc.get("engine", ExactEnumeration.name), "engine", where)
-    if name not in _ENGINES:
-        raise ConfigError(f"key 'engine' in {where} must be 'exact' or 'mc', got '{name}'")
-    own = [f.name for f in fields(_ENGINES[name])]
-    for key in doc:
-        if key in _ENGINE_FIELDS and key not in own:
-            raise ConfigError(f"unknown key '{key}' in {where} (engine '{name}')")
-    engine = _parse_fields(_ENGINES[name], {key: doc[key] for key in own if key in doc}, where)
-    rest = {key: v for key, v in doc.items() if key != "engine" and key not in _ENGINE_FIELDS}
-    return _parse_fields(cls, rest, where, engine=engine)
+    """cls from a top-level document: first its engine (exact if unnamed), then its other fields.
+
+    The engine takes those other fields as its keys beside its own, so it refuses a key neither has.
+    """
+    rest = [f.name for f in fields(cls) if f.init and f.name != "engine"]
+    engine = _parse_kind({"engine": ExactEnumeration.name, **doc}, where, "engine", rest)
+    return _parse_fields(cls, {key: doc[key] for key in rest if key in doc}, where, engine=engine)
 
 
 def _solver(value, key: str, where: str) -> str:
@@ -293,7 +290,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["achieved_mean", "se", "gap"])
     w.writerow([repr(value), format(se, ".9g"), format(gap, ".9g")])
-    tol = default_tol(parsed.engine) if parsed.tol is None else parsed.tol
+    tol = parsed.engine.tol if parsed.tol is None else parsed.tol
+    if not math.isfinite(se):
+        print(f"verification failed: the sample's se is {se}, which bounds no gap", file=sys.stderr)
+        return VERIFY_GAP_EXIT
     if gap <= max(tol, 4.0 * se):
         return 0
     print(
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--seed", dest="master_seed", metavar="SEED", type=int, help="override master_seed"
         )
-        p.add_argument("--engine", choices=tuple(_ENGINES), default=None, help="override engine")
+        p.add_argument("--engine", choices=tuple(_KINDS["engine"][1]), help="override engine")
         p.add_argument("--n-mc", dest="n_mc", type=int, default=None, help="override MC draw count")
         p.add_argument("--tol", type=float, default=None, help="override solver tolerance")
 

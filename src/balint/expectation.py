@@ -123,15 +123,19 @@ class FrozenDraws:
         return float(np.mean(self.mu))
 
     def se(self, b0: float) -> float:
-        """mu.std(ddof=1) / sqrt(n) at b0, by numpy's own steps in its order, into x."""
+        """mu.std(ddof=1) / sqrt(n) at b0, by numpy's own steps in its order, into x.
+
+        inf or nan, without a warning, where a square or a sum overflows a double.
+        """
         if self.at != b0:
             self.mean(b0)
         n = self.mu.size
-        mean = np.add.reduce(self.mu, keepdims=True)
-        mean /= n
-        np.subtract(self.mu, mean, out=self.x)
-        np.square(self.x, out=self.x)
-        return float(np.sqrt(np.add.reduce(self.x) / (n - 1)) / math.sqrt(n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.add.reduce(self.mu, keepdims=True)
+            mean /= n
+            np.subtract(self.mu, mean, out=self.x)
+            np.square(self.x, out=self.x)
+            return float(np.sqrt(np.add.reduce(self.x) / (n - 1)) / math.sqrt(n))
 
     @cached_property
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

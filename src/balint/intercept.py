@@ -19,10 +19,12 @@ The link (links.py) owns its domain, the moment of eta it balances and the
 exact mean those moments give; moment_mean sums the moments, for the linear
 scale's residual and for verification, where the link has them (identity, log).
 
-The expectation engine behind the numeric route is either exact enumeration
-over finite covariate supports or Monte Carlo over independent per-term
-draws; with the MC engine the draws are frozen once per solve (common random
-numbers), making the objective deterministic and monotone within that solve.
+The numeric route's engine owns its name, its default tol and
+expectation(dgp, rng), a context manager yielding b0 -> E[g^-1(b0 + eta)]:
+ExactEnumeration enumerates finite covariate supports, and MonteCarlo
+freezes independent per-term draws once per solve (common random numbers),
+making the objective deterministic and monotone within that solve. Nothing
+branches on the engine's type; its dataclass fields are its config keys.
 
 With Monte Carlo most bisection steps are decided by a certified interval
 around the sample mean, taken from runs of the sorted draws, instead of a
@@ -36,7 +38,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Literal, Optional, Sequence, Union, get_args
+from typing import ContextManager, Iterator, Literal, Optional, Sequence, Union, get_args
 
 import numpy as np
 
@@ -70,7 +72,6 @@ __all__ = [
     "moment_mean",
     "expectation_of_mean",
     "solve_numeric",
-    "default_tol",
     "solve",
     "SOLVER_NAMES",
 ]
@@ -246,17 +247,58 @@ class DgpSpec:
 @dataclass(frozen=True)
 class ExactEnumeration:
     name = "exact"
+    tol = DEFAULT_TOL_EXACT
+
+    @contextmanager
+    def expectation(self, dgp: DgpSpec, rng: Optional[RngStream]) -> Iterator[Enumerated]:
+        """The mean over every attainable value of eta - beta0, but none of probability 0.
+
+        Such a point adds nothing to a mean, and its g^-1 may overflow to make
+        it 0 * inf. rng is not used.
+        """
+        etas = np.zeros(1)
+        probs = np.ones(1)
+        for term in dgp.terms:
+            if not hasattr(term.spec, "support"):
+                raise EngineMismatchError(
+                    f"term '{term.name}' ({term.spec.kind}) is continuous; exact enumeration "
+                    "needs finite supports"
+                )
+            levels, pr = term.spec.support()
+            levels, pr = levels[pr > 0.0], pr[pr > 0.0]
+            contrib = term.eta(levels)
+            if etas.size * contrib.size > MAX_ENUM_SUPPORT:
+                raise EngineMismatchError(
+                    f"combined covariate support exceeds {MAX_ENUM_SUPPORT} points"
+                )
+            etas = (etas[:, None] + contrib[None, :]).ravel()
+            probs = (probs[:, None] * pr[None, :]).ravel()
+        yield Enumerated(dgp.link, etas, probs)
 
 
 @dataclass(frozen=True)
 class MonteCarlo:
     n_mc: int = 100_000
     name = "mc"
+    tol = DEFAULT_TOL_MC
 
     def __post_init__(self) -> None:
         if int(self.n_mc) < 2:
             raise SpecError(f"n_mc must be at least 2, got {self.n_mc}")
         object.__setattr__(self, "n_mc", int(self.n_mc))
+
+    @contextmanager
+    def expectation(self, dgp: DgpSpec, rng: Optional[RngStream]) -> Iterator[FrozenDraws]:
+        """The mean over n_mc joint draws of eta - beta0, one substream of rng per term.
+
+        The draws are frozen in arrays borrowed from WORKSPACE until the block ends.
+        """
+        if rng is None:
+            raise SpecError("the Monte Carlo engine needs an rng stream")
+        with WORKSPACE.borrow(self.n_mc) as (eta, x, mu):
+            eta.fill(0.0)
+            draw_terms(dgp.terms, self.n_mc, rng, eta, (x, mu))
+            yield FrozenDraws(dgp.link, eta, (x, mu))
 
 
 Engine = Union[ExactEnumeration, MonteCarlo]
@@ -350,62 +392,17 @@ def solve_log_closed_form(dgp: DgpSpec) -> InterceptSolution:
     )
 
 
-def _eta_support(dgp: DgpSpec) -> tuple[np.ndarray, np.ndarray]:
-    """All attainable values of eta - beta0 with their probabilities, but none of probability 0.
-
-    Such a point adds nothing to a mean, and its g^-1 may overflow to make it 0 * inf.
-    """
-    etas = np.zeros(1)
-    probs = np.ones(1)
-    for term in dgp.terms:
-        if not hasattr(term.spec, "support"):
-            raise EngineMismatchError(
-                f"term '{term.name}' ({term.spec.kind}) is continuous; exact enumeration "
-                "needs finite supports"
-            )
-        levels, pr = term.spec.support()
-        levels, pr = levels[pr > 0.0], pr[pr > 0.0]
-        contrib = term.eta(levels)
-        if etas.size * contrib.size > MAX_ENUM_SUPPORT:
-            raise EngineMismatchError(
-                f"combined covariate support exceeds {MAX_ENUM_SUPPORT} points"
-            )
-        etas = (etas[:, None] + contrib[None, :]).ravel()
-        probs = (probs[:, None] * pr[None, :]).ravel()
-    return etas, probs
-
-
-def _eta_draws(
-    dgp: DgpSpec, n: int, rng: RngStream, work: Optional[tuple[np.ndarray, ...]] = None
-) -> np.ndarray:
-    """n joint draws of eta - beta0, one substream per term.
-
-    work = (eta, x, y), float64 arrays of n: the draws are summed into eta,
-    with x and y as draw_terms' buffers. Fresh arrays when not passed.
-    """
-    eta, x, y = work or tuple(np.empty(n) for _ in range(3))
-    eta.fill(0.0)
-    draw_terms(dgp.terms, n, rng, eta, (x, y))
-    return eta
-
-
-@contextmanager
-def _expectation(dgp: DgpSpec, engine: Engine, rng: Optional[RngStream]) -> Iterator[Expectation]:
-    """b0 -> E[g^-1(b0 + eta)] under the engine, for a with block.
+def _expectation(
+    dgp: DgpSpec, engine: Engine, rng: Optional[RngStream]
+) -> ContextManager[Expectation]:
+    """b0 -> E[g^-1(b0 + eta)] under the engine, as a context manager for a with block.
 
     A term whose Link.moment does not exist is refused first, since a sample
-    would estimate nothing. Monte Carlo draws are frozen here, in arrays
-    borrowed from WORKSPACE until the block ends.
+    would estimate nothing.
     """
     for term in dgp.terms:
         dgp.link.moment(term)
-    if isinstance(engine, ExactEnumeration):
-        yield Enumerated(dgp.link, *_eta_support(dgp))
-        return
-    if rng is None:
-        raise SpecError("the Monte Carlo engine needs an rng stream")
-    with WORKSPACE.borrow(engine.n_mc) as (eta, x, mu):
-        yield FrozenDraws(dgp.link, _eta_draws(dgp, engine.n_mc, rng, (eta, x, mu)), (x, mu))
+    return engine.expectation(dgp, rng)
 
 
 def expectation_of_mean(
@@ -452,7 +449,7 @@ def solve_numeric(
     Exact enumeration's interval is its exact value.
     """
     if tol is None:
-        tol = default_tol(engine)
+        tol = engine.tol
     if not 0.0 < tol < math.inf:
         raise SpecError(f"tol must be positive and finite, got {tol}")
     with _expectation(dgp, engine, rng) as expectation:
@@ -510,11 +507,6 @@ def _bisect(expectation: Expectation, link: Link, target: float, tol: float) -> 
         mc_se=mc_se,
         warnings=frozenset(warnings),
     )
-
-
-def default_tol(engine: Engine) -> float:
-    """The tolerance solve_numeric and verification use when none is given."""
-    return DEFAULT_TOL_MC if isinstance(engine, MonteCarlo) else DEFAULT_TOL_EXACT
 
 
 Solver = Literal["linear_scale", "log_closed_form", "numeric"]

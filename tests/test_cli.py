@@ -10,6 +10,7 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import get_args
 
 import pytest
 import yaml
@@ -26,6 +27,7 @@ from balint import (
     Cauchy,
     ConfigError,
     DgpSpec,
+    Engine,
     ExactEnumeration,
     Gamma,
     GridConfig,
@@ -39,6 +41,7 @@ from balint import (
 )
 from balint.cli import (
     DgpDocument,
+    build_parser,
     load_config,
     main,
     parse_dgp_config,
@@ -267,7 +270,8 @@ class TestParseGridConfig:
     def test_unknown_engine(self):
         doc = yaml.safe_load(GRID_DOC)
         doc["engine"] = "quadrature"
-        with pytest.raises(ConfigError, match="engine"):
+        message = "unknown engine 'quadrature' in grid config (expected one of ['exact', 'mc'])"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             parse_grid_config(doc)
 
     def test_exposure_typo_named(self):
@@ -488,9 +492,20 @@ class TestTopLevelDocuments:
             doc["engine"] = engine
         for n_mc in (5000, True):
             doc["n_mc"] = n_mc
-            message = f"unknown key 'n_mc' in {which} config (engine 'exact')"
-            with pytest.raises(ConfigError, match=re.escape(message)):
+            message = f"unknown key 'n_mc' in {which} config"
+            with pytest.raises(ConfigError, match=re.escape(message) + "$"):
                 parse(doc)
+
+    @pytest.mark.parametrize("engine", get_args(Engine), ids=lambda cls: cls.name)
+    @pytest.mark.parametrize("which", sorted(_DOCUMENTS))
+    def test_each_engine_reads_its_own_fields(self, which, engine):
+        # every engine class is a config kind: its name and its fields are its keys
+        parse, doc, _ = _document(which)
+        own = {f.name: getattr(engine(), f.name) for f in dataclasses.fields(engine)}
+        doc = {key: v for key, v in doc.items() if key not in ("engine", "n_mc")}
+        assert parse({**doc, "engine": engine.name, **own}).engine == engine(**own)
+        flag = build_parser().parse_args(["solve", "--config", "c.yaml", "--engine", engine.name])
+        assert flag.engine == engine.name
 
     def test_missing_key_named_whatever_the_hash_seed(self, tmp_path):
         # several keys missing: the first one asked for is named, in a fixed order
@@ -806,6 +821,20 @@ class TestVerifyCommand:
         assert parsed["se"] == "0"
         assert float(parsed["gap"]) <= 1e-15
 
+    def test_overflowing_se_exits_3_without_a_warning(self, capsys, tmp_path):
+        # exp(158 z) has a finite sample mean here, but its squared deviations
+        # overflow, so se is inf and 4*se would accept any intercept
+        path = tmp_path / "overflow.yaml"
+        path.write_text(
+            "link: log\ntarget_mean: 0.5\noutcome: {family: normal, sd: 1.0}\n"
+            "covariates:\n  - {dist: normal, mu: 0.0, sigma: 1.0, beta: 158.0}\n"
+            "solver: numeric\nengine: mc\nn_mc: 2000\nmaster_seed: 373\n"
+        )
+        assert main(["verify", "--config", str(path), "--beta0", "0.0"]) == 3
+        out, err = capsys.readouterr()
+        assert dict(zip(*csv.reader(io.StringIO(out))))["se"] == "inf"
+        assert "verification failed: the sample's se is inf" in err
+
     def test_exact_engine_verifies_a_continuous_log_term(self, capsys, tmp_path):
         # the summed moments need no finite support
         path = tmp_path / "normal.yaml"
@@ -976,7 +1005,7 @@ class TestSimulateCommand:
         out = tmp_path / "rows.csv"
         argv = ["simulate", "--config", str(config), "--out", str(out), *flags]
         assert main(argv) == 1
-        assert "unknown key 'n_mc' in grid config (engine 'exact')" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown key 'n_mc' in grid config\n"
         assert not out.exists()
 
     def test_failed_run_leaves_existing_out_as_it_was(self, grid_config, tmp_path, monkeypatch):

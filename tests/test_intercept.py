@@ -1,5 +1,6 @@
 import math
 import pickle
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from balint import (
     Cauchy,
     CODINGS,
     DgpSpec,
+    Engine,
     EngineMismatchError,
     ExactEnumeration,
     Gamma,
@@ -55,6 +57,12 @@ CAT_TERM = Term("x", Categorical(probs=PROBS), (0.2, -0.2))
 
 def cat_dgp(target=0.5, link=Log(), extra=()):
     return DgpSpec((CAT_TERM, *extra), link, NormalOutcome(0.1), target)
+
+
+def _support(dgp):
+    """(etas, probs) that ExactEnumeration().expectation enumerates."""
+    with ExactEnumeration().expectation(dgp, None) as enumerated:
+        return enumerated.etas, enumerated.probs
 
 
 class TestConstruction:
@@ -432,7 +440,7 @@ class TestZeroProbabilityPoints:
         assert term.exp_moment() == 1.0
 
     def test_support_leaves_the_point_out(self, term):
-        etas, probs = intercept_mod._eta_support(self.dgp(term))
+        etas, probs = _support(self.dgp(term))
         assert etas.tolist() == [0.0]
         assert probs.tolist() == [1.0]
 
@@ -482,6 +490,19 @@ class TestExpectationOfMean:
     def test_monte_carlo_needs_rng(self):
         with pytest.raises(SpecError):
             expectation_of_mean(0.0, cat_dgp(), MonteCarlo(1000))
+
+    def test_monte_carlo_se_that_overflows_is_inf_without_a_warning(self):
+        # exp(158 z) at these draws (as `balint verify` takes them at seed 373)
+        # has a finite mean whose squared deviations overflow a double
+        dgp = DgpSpec((Term("z", Normal(0.0, 1.0), 158.0),), Log(), NormalOutcome(1.0), 0.5)
+        value, se = expectation_of_mean(0.0, dgp, MonteCarlo(2000), RngStream(373).child(1))
+        assert math.isfinite(value)
+        assert se == math.inf
+
+    def test_monte_carlo_se_of_an_infinite_mean_is_nan_without_a_warning(self):
+        draws = expectation_mod.FrozenDraws(Log(), np.array([0.0, 800.0, 1.0]))
+        assert draws.mean(0.0) == math.inf
+        assert math.isnan(draws.se(0.0))
 
     def test_continuous_cannot_be_enumerated(self):
         dgp = DgpSpec(
@@ -772,9 +793,9 @@ class TestTermContributions:
             expected += term.eta(values)
         assert eta.tobytes() == expected.tobytes()
 
-    def test_default_tol_follows_engine(self):
-        assert intercept_mod.default_tol(ExactEnumeration()) == intercept_mod.DEFAULT_TOL_EXACT
-        assert intercept_mod.default_tol(MonteCarlo(10)) == intercept_mod.DEFAULT_TOL_MC
+    def test_tol_follows_engine(self):
+        assert ExactEnumeration().tol == intercept_mod.DEFAULT_TOL_EXACT
+        assert MonteCarlo(10).tol == intercept_mod.DEFAULT_TOL_MC
 
 
 def _oracle_solve_numeric(dgp, engine, tol, rng):
@@ -799,7 +820,7 @@ def _oracle_solve_numeric(dgp, engine, tol, rng):
             return float(np.mean(mu)), mu
 
     else:
-        etas, probs = intercept_mod._eta_support(dgp)
+        etas, probs = _support(dgp)
 
         def evaluate(b0):
             return float(probs @ np.atleast_1d(link.invert(b0 + etas))), None
@@ -1132,35 +1153,34 @@ class TestFrozenDrawsInterval:
 
     def test_sorting_the_draws_keeps_se_exact(self):
         # the sort borrows the work buffer that se() writes
-        eta = intercept_mod._eta_draws(_pin_dgp("logit_normal_z"), 10_000, RngStream(6))
-        reference = expectation_mod.FrozenDraws(Logit(), eta)
-        draws = expectation_mod.FrozenDraws(Logit(), eta)
-        draws.mean(0.4)
-        draws.interval(0.4)
-        assert draws.se(0.4) == reference.se(0.4)
+        with MonteCarlo(10_000).expectation(_pin_dgp("logit_normal_z"), RngStream(6)) as draws:
+            reference = expectation_mod.FrozenDraws(Logit(), draws.eta)
+            draws.mean(0.4)
+            draws.interval(0.4)
+            assert draws.se(0.4) == reference.se(0.4)
 
     def test_interval_is_narrow_on_a_solver_sample(self):
         dgp = _logit_cells(betas=(3.0,), targets=(0.3,))[3]  # the gamma z cell
-        draws = expectation_mod.FrozenDraws(Logit(), intercept_mod._eta_draws(dgp, 100_000, RngStream(9)))
-        assert draws.blocks[1].size <= expectation_mod.HIST_BINS
-        lo, hi = draws.interval(-2.0)
-        assert lo <= draws.mean(-2.0) <= hi
+        with MonteCarlo(100_000).expectation(dgp, RngStream(9)) as draws:
+            assert draws.blocks[1].size <= expectation_mod.HIST_BINS
+            lo, hi = draws.interval(-2.0)
+            assert lo <= draws.mean(-2.0) <= hi
         # 2.2e-4 here; runs of 25 of the 100k draws bound it by 2.5e-4 plus the margins
         assert hi - lo <= 3e-4
 
     def test_repeated_runs_join_on_a_few_valued_sample(self):
         dgp = _logit_cells(betas=(3.0,), targets=(0.3,))[0]  # 2 x 3 distinct etas
-        draws = expectation_mod.FrozenDraws(Logit(), intercept_mod._eta_draws(dgp, 100_000, RngStream(9)))
-        edges, p, _ = draws.blocks
-        # each value's runs join into one, beside at most 5 runs that straddle two values
-        assert edges.shape[1] <= 11
-        assert p.sum() == pytest.approx(1.0)
-        lo, hi = draws.interval(-2.0)
-        assert lo <= draws.mean(-2.0) <= hi
+        with MonteCarlo(100_000).expectation(dgp, RngStream(9)) as draws:
+            edges, p, _ = draws.blocks
+            # each value's runs join into one, beside at most 5 runs that straddle two values
+            assert edges.shape[1] <= 11
+            assert p.sum() == pytest.approx(1.0)
+            lo, hi = draws.interval(-2.0)
+            assert lo <= draws.mean(-2.0) <= hi
 
 
 class TestNumericMomentRefusal:
-    """solve_numeric refuses a term whose balanced moment does not exist, before any draw."""
+    """solve_numeric refuses a term whose balanced moment does not exist, before the engine runs."""
 
     @pytest.mark.parametrize(
         "link, term, error",
@@ -1171,16 +1191,18 @@ class TestNumericMomentRefusal:
         ],
         ids=["log-cauchy", "log-gamma", "identity-cauchy"],
     )
-    @pytest.mark.parametrize("n_mc", [1000, 100_000])
-    def test_refused_by_name_before_drawing(self, monkeypatch, link, term, error, n_mc):
-        def no_draws(*args, **kwargs):
-            raise AssertionError("drew a sample for a moment that does not exist")
+    @pytest.mark.parametrize("engine", [cls() for cls in get_args(Engine)], ids=lambda e: e.name)
+    def test_refused_by_name_before_the_engine_runs(self, monkeypatch, link, term, error, engine):
+        def no_expectation(*args, **kwargs):
+            raise AssertionError("took an expectation of a moment that does not exist")
 
-        monkeypatch.setattr(intercept_mod, "_eta_draws", no_draws)
+        monkeypatch.setattr(type(engine), "expectation", no_expectation)
         dgp = DgpSpec((CAT_TERM, term), link, NormalOutcome(1.0), 0.5)
         for seed in (1, 2):
             with pytest.raises(error, match="term 'c'"):
-                solve(dgp, "numeric", engine=MonteCarlo(n_mc), rng=RngStream(seed))
+                solve(dgp, "numeric", engine=engine, rng=RngStream(seed))
+            with pytest.raises(error, match="term 'c'"):
+                expectation_of_mean(0.0, dgp, engine, RngStream(seed))
         assert error.exit_code == 2
 
     def test_logit_cauchy_still_solves(self):
