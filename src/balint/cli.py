@@ -294,6 +294,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not math.isfinite(se):
         print(f"verification failed: the sample's se is {se}, which bounds no gap", file=sys.stderr)
         return VERIFY_GAP_EXIT
+    # a sample's se, unlike enumeration's 0, assumes a finite variance
+    if se > 0.0 and not parsed.dgp.link.finite_variance(parsed.dgp.terms):
+        print(
+            f"verification failed: g^-1(beta0 + eta) has no finite variance under the "
+            f"{parsed.dgp.link.name} link, so the sample's se bounds no gap",
+            file=sys.stderr,
+        )
+        return VERIFY_GAP_EXIT
     if gap <= max(tol, 4.0 * se):
         return 0
     print(

@@ -8,8 +8,8 @@ from typing import Optional
 import numpy as np
 
 from .distributions import RngStream
-from .errors import OutOfRangeError, SpecError
-from .intercept import DgpSpec, NormalOutcome, draw_terms
+from .errors import SpecError
+from .intercept import DgpSpec, draw_terms
 
 __all__ = ["Column", "Dataset", "generate"]
 
@@ -44,10 +44,8 @@ def generate(
 
     Covariates draw in declaration order, each from its own substream, so
     adding a term never perturbs the draws of earlier columns; the outcome
-    noise has its own substream for the same reason. A Bernoulli outcome runs
-    mu through its clamp policy first: clamp_to_unit clips to [0, 1] (in both
-    directions) and counts the rows it changed, reject_out_of_range refuses to
-    generate through an invalid mean.
+    noise has its own substream for the same reason. dgp.outcome.draw draws
+    the outcome from mu; BernoulliOutcome.draw applies the clamp policy.
 
     work = (eta, x, y), three float64 arrays of n, makes generation allocate
     nothing of size n (run_scenario passes a per-thread set). The covariates
@@ -68,27 +66,5 @@ def generate(
     else:
         columns = ()  # each draw was a view of x, overwritten by the next
     mu = dgp.link.invert(eta, out=y, scratch=x)
-    out_rng = rng.child(1).generator()
-    if isinstance(dgp.outcome, NormalOutcome):
-        # numpy's normal(loc, scale) is loc + scale * z, z from the same stream
-        outcome = out_rng.standard_normal(n, out=x)
-        outcome *= dgp.outcome.sd
-        outcome += mu
-        clamp_count = 0
-    else:
-        if dgp.outcome.clamp == "clamp_to_unit":
-            # eta is no longer needed: it takes the clipped mean
-            p = np.clip(mu, 0.0, 1.0, out=eta)
-            clamp_count = int(np.count_nonzero(p != mu))
-        else:
-            bad = (mu < 0.0) | (mu > 1.0)
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise OutOfRangeError(
-                    f"row {i}: mean {mu[i]:.6g} outside [0, 1] (eta = {eta[i]:.6g}); "
-                    "generation rejected"
-                )
-            p, clamp_count = mu, 0
-        # uniform draws are in [0, 1), so u < p is 1.0 with probability p
-        outcome = np.less(out_rng.random(n, out=x), p, out=x)
+    outcome, clamp_count = dgp.outcome.draw(mu, eta, rng.child(1), x)
     return Dataset(columns=columns, outcome=outcome, clamp_count=clamp_count)

@@ -223,16 +223,15 @@ class Residual:
     holds agrees at both bounds it holds on all of [lo, hi], so the exact
     pass is skipped; otherwise the pass runs and its f replaces the bounds.
     fl(x - target) is monotone, so bounds on the mean give bounds on f. A
-    zero-width interval is the exact value.
+    zero-width interval is the exact value. The bounds are taken on the
+    first test, so a Residual that is never tested costs nothing.
     """
 
     def __init__(self, expectation: Expectation, b0: float, target: float) -> None:
         self.expectation = expectation
         self.b0 = b0
         self.target = target
-        lo, hi = expectation.interval(b0)
-        self.lo, self.hi = lo - target, hi - target
-        self.exact = self.lo if lo == hi else None
+        self.lo = self.hi = self.exact = None
 
     def value(self) -> float:
         if self.exact is None:
@@ -240,6 +239,10 @@ class Residual:
         return self.exact
 
     def test(self, holds: Callable[[float], bool]) -> bool:
+        if self.lo is None:
+            lo, hi = self.expectation.interval(self.b0)
+            self.lo, self.hi = lo - self.target, hi - self.target
+            self.exact = self.lo if lo == hi else None
         if self.exact is None and holds(self.lo) == holds(self.hi):
             return holds(self.lo)
         return holds(self.value())

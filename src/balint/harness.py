@@ -11,6 +11,7 @@ builtin hash() is never used for keying (it is salted per process).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
@@ -244,7 +245,8 @@ def expand_grid(cfg: GridConfig) -> list[GridCell]:
 
 def _run_cell(cell: GridCell) -> GridRow:
     s = cell.scenario
-    common = dict(
+    row = functools.partial(
+        GridRow,
         scenario_id=s.id,
         link=s.dgp.link.name,
         outcome_family=s.dgp.outcome.family,
@@ -256,30 +258,17 @@ def _run_cell(cell: GridCell) -> GridRow:
         replicates=s.replicates,
         master_seed=s.master_seed,
     )
-
-    def unfinished(status: str, warning: str) -> GridRow:
-        return GridRow(
-            **common,
-            beta0=None,
-            achieved_mean=None,
-            bias=None,
-            bias_se=None,
-            clamp_rate=None,
-            status=status,
-            warnings=(warning,),
-        )
-
+    unfinished = dict.fromkeys(("beta0", "achieved_mean", "bias", "bias_se", "clamp_rate"))
     # a cell whose balanced moment does not exist has no intercept; recorded, not dropped
     try:
         r = run_scenario(s)
     except MgfDomainError:
-        return unfinished("skipped", "divergent_exp_moment")
+        return row(**unfinished, status="skipped", warnings=("divergent_exp_moment",))
     except UndefinedMomentError:
-        return unfinished("skipped", "undefined_mean")
+        return row(**unfinished, status="skipped", warnings=("undefined_mean",))
     except Error as e:
-        return unfinished("error", f"{type(e).__name__}: {e}")
-    return GridRow(
-        **common,
+        return row(**unfinished, status="error", warnings=(f"{type(e).__name__}: {e}",))
+    return row(
         beta0=r.beta0,
         achieved_mean=r.achieved_mean,
         bias=r.bias,

@@ -5,6 +5,7 @@ what the numeric intercept solver's bracketing relies on. Each link writes its
 domain once, an open interval that check() holds apply()'s mean and DgpSpec's
 target to. E[g^-1(b0 + eta)] is exact_mean(b0 + sum of moment(term)) where that
 sum is finite; a term's moment is E[beta' X] (identity) or log E[exp(beta' X)] (log).
+finite_variance(terms) says whether a sample's se of that mean means anything.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import LinkDomainError, SpecError
+from .errors import LinkDomainError, MgfDomainError, SpecError
 
 __all__ = ["Identity", "Log", "Logit", "Link", "link_by_name"]
 
@@ -42,6 +43,10 @@ class _Link:
 
     def exact_mean(self, x: float) -> None:  # reached by a logit DGP with no terms
         return None
+
+    def finite_variance(self, terms) -> bool:
+        """Whether g^-1(b0 + eta) has a finite variance; so under logit (bounded) and identity."""
+        return True
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,13 @@ class Log(_Link):
             return math.exp(x)
         except OverflowError:
             return math.inf
+
+    def finite_variance(self, terms) -> bool:
+        """False where some term's E[exp(2 beta' X)] is infinite or overflows a double."""
+        try:
+            return all(term.exp_moment(2.0) < math.inf for term in terms)
+        except MgfDomainError:
+            return False
 
 
 @dataclass(frozen=True)

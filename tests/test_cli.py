@@ -846,6 +846,20 @@ class TestVerifyCommand:
         assert parsed["se"] == "0"
         assert float(parsed["gap"]) <= 1e-15
 
+    def test_finite_se_of_an_infinite_variance_exits_3(self, capsys, tmp_path):
+        # E[exp(158 z)] overflows, so the engine samples; the sample's se is
+        # finite but, with E[exp(316 z)] past a double, it bounds no gap
+        path = tmp_path / "variance.yaml"
+        path.write_text(
+            "link: log\ntarget_mean: 0.5\noutcome: {family: normal, sd: 1.0}\n"
+            "covariates:\n  - {dist: normal, mu: 0.0, sigma: 1.0, beta: 158.0}\n"
+            "solver: numeric\nengine: mc\nn_mc: 2000\nmaster_seed: 373\n"
+        )
+        assert main(["verify", "--config", str(path), "--beta0", "-528.57"]) == 3
+        out, err = capsys.readouterr()
+        assert math.isfinite(float(dict(zip(*csv.reader(io.StringIO(out))))["se"]))
+        assert "no finite variance under the log link" in err
+
     def test_overflowing_moment_keeps_the_engine(self, capsys, tmp_path):
         # E[exp(800 x)] overflows a double, while the numeric root beta0 ~ -800
         # gives a mean of 0.5; the engine enumerates it

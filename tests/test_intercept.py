@@ -30,6 +30,7 @@ from balint import (
     NoRootError,
     Normal,
     NormalOutcome,
+    OutOfRangeError,
     RngStream,
     SpecError,
     Term,
@@ -111,8 +112,14 @@ class TestConstruction:
             DgpSpec((), link, NormalOutcome(1.0), target)
 
     def test_bernoulli_outcome_needs_interior_target(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match=r"a Bernoulli outcome needs target_mean in \(0, 1\), got 1.2"):
             DgpSpec((), Identity(), BernoulliOutcome(), 1.2)
+
+    def test_outcome_domains(self):
+        assert NormalOutcome(1.0).domain == (-math.inf, math.inf)
+        assert BernoulliOutcome().domain == (0.0, 1.0)
+        # a normal outcome takes any finite target
+        assert DgpSpec((), Identity(), NormalOutcome(1.0), -1e300).target_mean == -1e300
 
     def test_monte_carlo_engine_validation(self):
         with pytest.raises(SpecError):
@@ -132,11 +139,45 @@ class TestConstruction:
             DgpSpec((), Identity(), NormalOutcome(1.0), target)
 
 
+class TestOutcomeDraw:
+    """Each outcome family draws its outcome from mu, into out, and reports what it clamped."""
+
+    MU = np.array([-0.25, 0.0, 0.3, 1.0, 1.75])
+
+    def test_normal_is_generator_normal(self):
+        out = np.empty(5)
+        y, clamped = NormalOutcome(0.4).draw(self.MU, np.zeros(5), RngStream(2), out)
+        assert y is out and clamped == 0
+        assert y.tobytes() == RngStream(2).generator().normal(self.MU, 0.4).tobytes()
+
+    def test_clamp_to_unit_clips_into_eta(self):
+        eta, out = np.full(5, 9.0), np.empty(5)
+        y, clamped = BernoulliOutcome().draw(self.MU, eta, RngStream(2), out)
+        assert y is out and clamped == 2
+        assert eta.tolist() == [0.0, 0.0, 0.3, 1.0, 1.0]
+        u = RngStream(2).generator().random(5)
+        assert y.tolist() == (u < eta).astype(float).tolist()
+
+    def test_reject_names_the_first_row_and_its_eta(self):
+        eta = np.arange(5.0)
+        with pytest.raises(OutOfRangeError, match=r"row 0: mean -0\.25 outside \[0, 1\] \(eta = 0\)"):
+            BernoulliOutcome("reject_out_of_range").draw(self.MU, eta, RngStream(2), np.empty(5))
+        assert eta.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
 class TestTermMoments:
     def test_continuous_moments_come_from_the_spec(self):
         term = Term("z", Normal(0.3, 1.0), 2.0)
         assert term.mean() == 2.0 * 0.3
         assert term.exp_moment() == Normal(0.3, 1.0).mgf(2.0)
+
+    def test_scaled_exp_moment(self):
+        # scale 2 gives E[exp(2 beta' X)], which the log link's variance needs
+        assert Term("z", Normal(0.3, 1.0), 2.0).exp_moment(2.0) == Normal(0.3, 1.0).mgf(4.0)
+        assert CAT_TERM.exp_moment(2.0) == 0.5 + 0.35 * math.exp(0.4) + 0.15 * math.exp(-0.4)
+        assert Term("c", Categorical(probs=(0.5, 0.5)), (400.0,)).exp_moment(2.0) == math.inf
+        with pytest.raises(MgfDomainError, match="term 'g'"):
+            Term("g", Gamma(1.0, 1.5), 1.0).exp_moment(2.0)
 
     def test_overflow_is_inf_and_underflow_zero(self):
         assert Term("z", Normal(0.0, 1.0), 40.0).exp_moment() == math.inf
@@ -1030,6 +1071,34 @@ class TestFilteredBisection:
             "NoRootError",
             "no sign change within g(target) +/- 8 after 3 bracket expansions",
         )
+
+    def test_intervals_only_for_tested_residuals(self, monkeypatch):
+        # while the bracket expands, a failing low end leaves its high end
+        # untested, and an untested Residual takes no interval
+        intervals, made, tested = [], [], []
+        interval = expectation_mod.FrozenDraws.interval
+        init, test = expectation_mod.Residual.__init__, expectation_mod.Residual.test
+
+        def counting_interval(self, b0):
+            intervals.append(b0)
+            return interval(self, b0)
+
+        def recording_init(self, *args):
+            made.append(self)
+            init(self, *args)
+
+        def recording_test(self, holds):
+            tested.append(self)
+            return test(self, holds)
+
+        monkeypatch.setattr(expectation_mod.FrozenDraws, "interval", counting_interval)
+        monkeypatch.setattr(expectation_mod.Residual, "__init__", recording_init)
+        monkeypatch.setattr(expectation_mod.Residual, "test", recording_test)
+        dgp = DgpSpec((Term("z", Normal(6.0, 1.0), 1.0),), Logit(), BernoulliOutcome(), 0.5)
+        solve_numeric(dgp, engine=MonteCarlo(2000), rng=RngStream(3))
+        n_tested = len({id(r) for r in tested})
+        assert n_tested < len(made)
+        assert len(intervals) == n_tested
 
     def test_filter_skips_most_exact_passes(self, monkeypatch):
         # the bit tests cannot tell a filter that never fires from one that does

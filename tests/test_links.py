@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from balint import (
     Categorical,
     DgpSpec,
+    Gamma,
     Identity,
     Link,
     LinkDomainError,
@@ -265,6 +266,25 @@ class TestBalancedMoment:
     def test_logit_has_none(self):
         assert Logit().moment(Z) is None
         assert Logit().exact_mean(0.0) is None
+
+
+class TestFiniteVariance:
+    """Whether g^-1(b0 + eta) has a finite variance, as a sample's se assumes."""
+
+    @pytest.mark.parametrize("link", [Identity(), Logit()], ids=lambda l: l.name)
+    def test_identity_and_logit_always(self, link):
+        assert link.finite_variance((Z, Term("g", Gamma(1.0, 1.5), 1.0)))
+
+    def test_log_needs_every_doubled_exp_moment(self):
+        assert Log().finite_variance(())
+        assert Log().finite_variance((Z, Term("g", Gamma(1.0, 1.5), 0.7)))
+        # E[exp(2z)] underflows to 0, which is finite
+        assert Log().finite_variance((Term("z", Normal(-800.0, 1.0), 1.0),))
+        # E[exp(z)] is finite but E[exp(2z)] is not (2 * 1.0 >= rate 1.5)
+        assert not Log().finite_variance((Z, Term("g", Gamma(1.0, 1.5), 1.0)))
+        # E[exp(316 z)] = e^49928 overflows a double
+        assert not Log().finite_variance((Term("z", Normal(0.0, 1.0), 158.0),))
+        assert not Log().finite_variance((Term("c", Categorical((0.5, 0.5)), (400.0,)),))
 
 
 class TestRegistry:
