@@ -49,17 +49,17 @@ def generate(
 
     work = (eta, x, y), three float64 arrays of n, makes generation allocate
     nothing of size n (run_scenario passes a per-thread set). The covariates
-    are drawn into x, each term's share of eta into y, mu is taken into y
-    and the outcome drawn into x. All draws share x, so the Dataset has
-    columns=(), and its outcome is x itself, valid until the next use of
-    work. The outcome and clamp_count are the same to the bit either way.
+    are drawn into x, the first term's share of eta straight into eta and
+    each later one's into y, mu is taken into y and the outcome drawn into
+    x. All draws share x, so the Dataset has columns=(), and its outcome is
+    x itself, valid until the next use of work. The outcome and clamp_count
+    are the same to the bit either way.
     """
     n = int(n)
     if n < 1:
         raise SpecError("dataset size must be at least 1")
     eta, x, y = work or (np.empty(n), None, None)
-    eta.fill(float(beta0))
-    draws = draw_terms(dgp.terms, n, rng.child(0), eta, (x, y))
+    draws = draw_terms(dgp.terms, n, rng.child(0), eta, (x, y), float(beta0))
     if work is None:
         columns = tuple(Column(t.name, v) for t, v in zip(dgp.terms, draws))
         x, y = np.empty(n), np.empty(n)

@@ -5,19 +5,22 @@ Enumerated takes that expectation exactly over a finite covariate support;
 FrozenDraws takes it over a fixed Monte Carlo sample of eta. Each bisection
 step asks one yes/no question of the residual (below 0? within tol?), and
 with Monte Carlo most answers are plain long before the end. So FrozenDraws
-also bounds its exact mean from below and above, on any input, from at most
-HIST_BINS runs of its draws, sorted once per solve: about 60 us against about
-0.5 ms for a full 100k-draw pass, after a sort of about 0.5 ms. Residual
-takes a step's answer from those bounds when both give the same one, and
-runs the full pass only when they do not. This is the floating-point filter
-of exact geometric predicates (Shewchuk 1997, Discrete Comput. Geom.
+also bounds its exact mean from below and above, on any input, from runs of
+its draws sorted once per solve by their float32 keys (about 0.4-0.5 ms for
+100k draws, against about 0.9 ms for a sort of the doubles), at two levels:
+about 64 coarse runs (about 30 us) and at most HIST_BINS fine ones (about
+80 us), against about 0.6 ms for a full 100k-draw pass (2-vCPU Xeon VM,
+numpy 2.4.6). Residual takes a step's answer from the coarse bounds when
+both give the same one, from the fine bounds when those do, and runs the
+full pass only when neither does. This is the floating-point filter of
+exact geometric predicates (Shewchuk 1997, Discrete Comput. Geom.
 18:305-363). Every value a solve keeps comes from a full pass, so its result
 is the same to the bit as without the filter.
 
 A Monte Carlo solve works in three n_mc-sized float64 arrays: the frozen
-eta, g^-1(b0 + eta), and one scratch, which first holds the sorted draws. It
-borrows them from WORKSPACE, which keeps them between solves (Workspace says
-why).
+eta, g^-1(b0 + eta), and one scratch, whose first half first holds the
+sorted float32 keys. It borrows them from WORKSPACE, which keeps them
+between solves (Workspace says why).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .links import Link
 
 __all__ = [
     "HIST_BINS",
+    "COARSE_RUNS",
     "Workspace",
     "WORKSPACE",
     "FrozenDraws",
@@ -43,9 +47,11 @@ __all__ = [
 ]
 
 # The Monte Carlo interval filter (FrozenDraws.interval): the most runs the
-# sorted draws are cut into, the relative margin, and the largest
-# n_mc * |g^-1| for which the exact pass's sum cannot overflow.
+# sorted draws are cut into, how many of them a coarse run joins, the
+# relative margin, and the largest n_mc * |g^-1| for which the exact pass's
+# sum cannot overflow.
 HIST_BINS = 4096
+COARSE_RUNS = 64
 INTERVAL_MARGIN = 1e-9
 MAX_SUM = 2.0**1020
 
@@ -96,16 +102,17 @@ WORKSPACE = Workspace()
 
 
 class FrozenDraws:
-    """E[g^-1(b0 + eta)] over a fixed eta sample: an exact pass and a cheap interval.
+    """E[g^-1(b0 + eta)] over a fixed eta sample: an exact pass and cheap intervals.
 
     work = (x, mu) are two arrays shaped like eta, fresh when not passed; a
     solve passes the ones it borrowed from WORKSPACE. mean(b0) writes
     b0 + eta into mu and takes g^-1 of it there, with x as the inverse's
     scratch, and se() works in x, so no evaluation allocates an array the
-    size of eta. mu keeps the last evaluation, which se() reuses when asked
-    about the same b0.
+    size of eta. mu and its sum keep the last evaluation, which se() reuses
+    when asked about the same b0.
 
-    interval(b0) bounds mean(b0) from both sides at a small fraction of its cost.
+    interval(b0, level) bounds mean(b0) from both sides at a small fraction
+    of its cost; depth is the number of levels, coarse to fine.
     """
 
     def __init__(
@@ -115,12 +122,15 @@ class FrozenDraws:
         self.eta = eta
         self.x, self.mu = work or (np.empty_like(eta), np.empty_like(eta))
         self.at: Optional[float] = None
+        self.total = math.nan
 
     def mean(self, b0: float) -> float:
+        """np.mean(g^-1(b0 + eta)): its sum, kept for se(), over n."""
         np.add(self.eta, b0, out=self.mu)
         self.link.invert(self.mu, out=self.mu, scratch=self.x)
         self.at = b0
-        return float(np.mean(self.mu))
+        self.total = np.add.reduce(self.mu)
+        return float(self.total / self.mu.size)
 
     def se(self, b0: float) -> float:
         """mu.std(ddof=1) / sqrt(n) at b0, by numpy's own steps in its order, into x.
@@ -131,42 +141,66 @@ class FrozenDraws:
             self.mean(b0)
         n = self.mu.size
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = np.add.reduce(self.mu, keepdims=True)
-            mean /= n
-            np.subtract(self.mu, mean, out=self.x)
+            np.subtract(self.mu, self.total / n, out=self.x)
             np.square(self.x, out=self.x)
             return float(np.sqrt(np.add.reduce(self.x) / (n - 1)) / math.sqrt(n))
 
     @cached_property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(edges, p, buffer) over runs of ceil(n / HIST_BINS) draws of eta, sorted in x.
+    def levels(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(edges, p, buffer) per level of runs of the sorted draws, coarse to fine.
 
-        edges[0] and edges[1] hold each run's first and last draw, p its
-        share of the draws. Built on the first interval(); the sort leaves mu,
-        and the evaluation se() may reuse there, untouched.
+        The fine level cuts the draws, sorted by their float32 keys in x,
+        into runs of ceil(n / HIST_BINS); the coarse one, kept only where
+        the fine one has more than 2 * COARSE_RUNS runs, joins each
+        COARSE_RUNS of them into one. edges[0] and edges[1] hold each run's
+        ends, as doubles: its first and last key, one float32 step out toward
+        -inf and +inf; p holds its share of the draws. Built on the first
+        interval(); the keys take half of x, and the sort leaves mu, and the
+        evaluation se() may reuse there, untouched.
         """
         n = self.x.size
-        np.copyto(self.x, self.eta)
-        self.x.sort()
+        keys = self.x.view(np.float32)[:n]
+        with np.errstate(over="ignore"):
+            np.copyto(keys, self.eta, casting="same_kind")
+        keys.sort()
         first = np.arange(0, n, -(-n // HIST_BINS))
-        edges = self.x[np.stack([first, np.append(first[1:], n) - 1])]
-        # a run whose draws all equal the previous run's joins it
-        keep = np.append(True, edges[0, :-1] != edges[1, 1:])
-        edges = edges.compress(keep, axis=1)
-        return edges, np.diff(first[keep], append=n) / n, np.empty_like(edges)
+        ends = keys[np.stack([first, np.append(first[1:], n) - 1])]
+        # a run whose keys all equal the previous run's joins it
+        keep = np.append(True, ends[0, :-1] != ends[1, 1:])
+        first, ends = first[keep], ends.compress(keep, axis=1)
+        with np.errstate(over="ignore"):
+            edges = np.stack([np.nextafter(ends[0], -np.inf), np.nextafter(ends[1], np.inf)])
+        edges = edges.astype(float)
+        counts = np.diff(np.append(first, n))
+        fine = edges, counts / n, np.empty_like(edges)
+        if first.size <= 2 * COARSE_RUNS:
+            return (fine,)
+        starts = np.arange(0, first.size, COARSE_RUNS)
+        edges = np.stack([edges[0, starts], edges[1, np.append(starts[1:], first.size) - 1]])
+        return (edges, np.add.reduceat(counts, starts) / n, np.empty_like(edges)), fine
 
-    def interval(self, b0: float) -> tuple[float, float]:
-        """(lo, hi) with lo <= mean(b0) <= hi on any input.
+    @property
+    def depth(self) -> int:
+        """How many levels interval() takes: 2 where the coarse one is kept, else 1."""
+        return len(self.levels)
 
-        It costs g^-1 at the two ends of at most HIST_BINS runs of the sorted
-        draws (sorted once, on the first call), not at n_mc draws:
+    def interval(self, b0: float, level: int = -1) -> tuple[float, float]:
+        """(lo, hi) with lo <= mean(b0) <= hi on any input, from one level of runs (default the finest).
+
+        It costs g^-1 at the two ends of each of the level's runs, at most
+        HIST_BINS (the draws sorted once, on the first call), not at n_mc draws:
             lo = sum_k p_k g^-1(fl(lower_k + b0))
             hi = sum_k p_k g^-1(fl(upper_k + b0))
         each widened by INTERVAL_MARGIN * max(1, size), where
             size = sum_k p_k max(|g^-1(fl(lower_k + b0))|, |g^-1(fl(upper_k + b0))|)
         bounds the summed magnitudes of both the interval and the exact pass.
-          1. Each draw lies, exactly, between its run's first and last draw
-             (runs joined into one all hold the same value).
+          1. Each draw e lies, exactly, between its run's ends. Its float32
+             key fl32(e) is a nearest float32 (or +-inf past the float32
+             range), so e lies between the float32 values on either side of
+             fl32(e), and the run's keys lie between its first and last key
+             (runs joined into one all hold the same key; a coarse run's keys
+             lie between its first fine run's first key and its last fine
+             run's last key).
           2. fl(e + b0) is monotone in e (rounding is monotone), so
              lower_k <= e gives fl(lower_k + b0) <= fl(e + b0), the argument
              the exact pass inverts; likewise for upper_k. g^-1 is increasing,
@@ -180,9 +214,9 @@ class FrozenDraws:
              margin's floor of 1e-9.
         Where size is NaN, infinite, or above 2^1020 / n_mc, so that the exact
         pass's sum could overflow, the interval is (-inf, inf), which decides
-        nothing. A NaN draw sorts last, so it makes size NaN.
+        nothing. A NaN draw's key sorts last, so it makes size NaN.
         """
-        edges, p, mu = self.blocks
+        edges, p, mu = self.levels[level]
         np.add(edges, b0, out=mu)
         self.link.invert(mu, out=mu)
         mu *= p
@@ -208,7 +242,9 @@ class Enumerated:
     def se(self, b0: float) -> float:
         return 0.0
 
-    def interval(self, b0: float) -> tuple[float, float]:
+    depth = 1
+
+    def interval(self, b0: float, level: int = -1) -> tuple[float, float]:
         value = self.mean(b0)
         return value, value
 
@@ -217,14 +253,16 @@ Expectation = Union[Enumerated, FrozenDraws]
 
 
 class Residual:
-    """f = E[g^-1(b0 + eta)] - target at one b0: bounds first, the exact pass on demand.
+    """f = E[g^-1(b0 + eta)] - target at one b0: bounds, coarse to fine, then the exact pass on demand.
 
     test(holds) answers a predicate monotone in f as the exact f would. When
     holds agrees at both bounds it holds on all of [lo, hi], so the exact
-    pass is skipped; otherwise the pass runs and its f replaces the bounds.
+    pass is skipped; otherwise the next level's bounds replace them, and
+    after the finest level the pass runs and its f replaces the bounds.
     fl(x - target) is monotone, so bounds on the mean give bounds on f. A
-    zero-width interval is the exact value. The bounds are taken on the
-    first test, so a Residual that is never tested costs nothing.
+    zero-width interval is the exact value. Each level's bounds are taken
+    when a test first needs them, so a Residual that is never tested costs
+    nothing.
     """
 
     def __init__(self, expectation: Expectation, b0: float, target: float) -> None:
@@ -232,6 +270,7 @@ class Residual:
         self.b0 = b0
         self.target = target
         self.lo = self.hi = self.exact = None
+        self.level = 0  # the levels of bounds taken so far
 
     def value(self) -> float:
         if self.exact is None:
@@ -239,10 +278,13 @@ class Residual:
         return self.exact
 
     def test(self, holds: Callable[[float], bool]) -> bool:
-        if self.lo is None:
-            lo, hi = self.expectation.interval(self.b0)
+        while self.exact is None:
+            if self.level and holds(self.lo) == holds(self.hi):
+                return holds(self.lo)
+            if self.level == self.expectation.depth:
+                break
+            lo, hi = self.expectation.interval(self.b0, self.level)
+            self.level += 1
             self.lo, self.hi = lo - self.target, hi - self.target
             self.exact = self.lo if lo == hi else None
-        if self.exact is None and holds(self.lo) == holds(self.hi):
-            return holds(self.lo)
         return holds(self.value())

@@ -563,6 +563,14 @@ class TestExpectationOfMean:
             expectation_of_mean(0.0, dgp)
 
 
+_SUPPFIG1_Z = (
+    Bernoulli(0.8),
+    UniformContinuous(-1.0, 3.0),
+    Normal(0.0, 1.0),
+    Gamma(1.0, 1.5),
+)
+
+
 class TestSolveNumeric:
     def test_fair_coin_logit_midpoint_is_exact(self):
         dgp = DgpSpec(
@@ -654,6 +662,22 @@ class TestSolveNumeric:
             cat_dgp(), engine=MonteCarlo(100_000), tol=0.05, rng=RngStream(33)
         )
         assert "mc_precision" not in sol.warnings
+
+    @pytest.mark.parametrize("beta, warns", [(1.0, True), (0.5, False)])
+    def test_infinite_variance_warning_under_log(self, beta, warns):
+        # E[exp(2 beta Z)] of a Gamma(1, 1.5) Z is infinite at 2 beta >= 1.5
+        dgp = DgpSpec((Term("z", Gamma(1.0, 1.5), beta),), Log(), NormalOutcome(1.0), 0.5)
+        sol = solve_numeric(dgp, engine=MonteCarlo(2000), rng=RngStream(34))
+        assert sol.mc_se > 0.0
+        assert ("infinite_variance" in sol.warnings) == warns
+
+    @pytest.mark.parametrize("z", [*_SUPPFIG1_Z, Cauchy(0.0, 1.0)], ids=lambda z: type(z).__name__)
+    def test_infinite_variance_never_under_logit(self, z):
+        # g^-1 is bounded, so a logit sample's variance is finite whatever its terms
+        dgp = DgpSpec((CAT_TERM, Term("z", z, 3.0)), Logit(), BernoulliOutcome(), 0.2)
+        sol = solve_numeric(dgp, engine=MonteCarlo(2000), rng=RngStream(35))
+        assert sol.mc_se > 0.0
+        assert "infinite_variance" not in sol.warnings
 
 
 # InterceptSolution fields of the Monte Carlo numeric path, pinned as hex so
@@ -826,13 +850,27 @@ class TestTermContributions:
     def test_draw_terms_adds_in_place_from_substreams(self):
         terms = (CAT_TERM, Term("z", Normal(0.0, 1.0), 0.5), Term("d", Bernoulli(0.3), -1.0))
         rng = RngStream(8, (2,))
-        eta = np.full(400, 0.25)
-        draws = intercept_mod.draw_terms(terms, 400, rng, eta)
+        # eta's old contents are overwritten, and beta0 reaches the sum as
+        # when it was the start of it: e0 + beta0 is beta0 + e0 to the bit
+        eta = np.full(400, np.nan)
+        draws = intercept_mod.draw_terms(terms, 400, rng, eta, beta0=0.25)
         expected = np.full(400, 0.25)
         for j, (term, values) in enumerate(zip(terms, draws)):
             assert np.array_equal(values, term.spec.sample(400, rng.child(j)))
             expected += term.eta(values)
         assert eta.tobytes() == expected.tobytes()
+        # without beta0 the sum starts from the first share, equal to one from 0.0
+        draws = intercept_mod.draw_terms(terms, 400, rng, eta)
+        expected = np.zeros(400)
+        for term, values in zip(terms, draws):
+            expected += term.eta(values)
+        assert np.array_equal(eta, expected)
+
+    @pytest.mark.parametrize("beta0", [None, -1.5])
+    def test_draw_terms_without_terms_fills_beta0(self, beta0):
+        eta = np.full(3, np.nan)
+        assert intercept_mod.draw_terms((), 3, RngStream(8), eta, beta0=beta0) == []
+        assert eta.tolist() == [beta0 or 0.0] * 3
 
     def test_tol_follows_engine(self):
         assert ExactEnumeration().tol == intercept_mod.DEFAULT_TOL_EXACT
@@ -914,6 +952,8 @@ def _oracle_solve_numeric(dgp, engine, tol, rng):
         mc_se = float(mu.std(ddof=1) / math.sqrt(mu.size))
         if mc_se > tol / 4.0:
             warnings.add("mc_precision")
+        if mc_se > 0.0 and _infinite_variance(dgp):
+            warnings.add("infinite_variance")
     return intercept_mod.InterceptSolution(
         beta0=float(beta0),
         method="numeric",
@@ -962,12 +1002,16 @@ def _undefined_moment(dgp):
     return None
 
 
-_SUPPFIG1_Z = (
-    Bernoulli(0.8),
-    UniformContinuous(-1.0, 3.0),
-    Normal(0.0, 1.0),
-    Gamma(1.0, 1.5),
-)
+def _infinite_variance(dgp):
+    """Whether g^-1(beta0 + eta) has an infinite variance, from the distributions' definitions.
+
+    Only under log, and there E[exp(2 beta X)] is infinite for a gamma X at
+    2 beta >= rate; _random_dgps draws no other term whose square moment
+    passes a double.
+    """
+    return isinstance(dgp.link, Log) and any(
+        isinstance(t.spec, Gamma) and 2.0 * t.beta >= t.spec.rate for t in dgp.terms
+    )
 
 
 def _logit_cells(betas=(1.0, 1.5, 2.0, 2.5, 3.0), targets=tuple(k / 10 for k in range(1, 10))):
@@ -1079,9 +1123,10 @@ class TestFilteredBisection:
         interval = expectation_mod.FrozenDraws.interval
         init, test = expectation_mod.Residual.__init__, expectation_mod.Residual.test
 
-        def counting_interval(self, b0):
-            intervals.append(b0)
-            return interval(self, b0)
+        def counting_interval(self, b0, level=-1):
+            if level == 0:  # a Residual's first bounds
+                intervals.append(b0)
+            return interval(self, b0, level)
 
         def recording_init(self, *args):
             made.append(self)
@@ -1117,6 +1162,27 @@ class TestFilteredBisection:
         assert iterations >= 8 * len(cells)
         assert len(passes) <= 3 * len(cells)
 
+    def test_coarse_level_saves_fine_intervals(self, monkeypatch):
+        # a coarse level that never decided would cost a fine interval per tested Residual
+        fine, tested = [], {}
+        interval, test = expectation_mod.FrozenDraws.interval, expectation_mod.Residual.test
+
+        def counting_interval(self, b0, level=-1):
+            if level % self.depth == self.depth - 1:
+                fine.append(b0)
+            return interval(self, b0, level)
+
+        def recording_test(self, holds):
+            tested[id(self)] = self  # kept, so that no id is reused
+            return test(self, holds)
+
+        monkeypatch.setattr(expectation_mod.FrozenDraws, "interval", counting_interval)
+        monkeypatch.setattr(expectation_mod.Residual, "test", recording_test)
+        cells = _logit_cells(betas=(1.0, 3.0), targets=(0.1, 0.5, 0.9))
+        for k, dgp in enumerate(cells):
+            solve_numeric(dgp, engine=MonteCarlo(), rng=RngStream(k))
+        assert len(fine) < len(tested)
+
 
 _ETA_LINKS = st.sampled_from([Identity(), Log(), Logit()])
 _B0 = st.one_of(
@@ -1150,8 +1216,35 @@ def _cancelling(a, m, seed):
     return np.random.default_rng(seed).permutation(np.repeat([a, -a], m))
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _sharing_keys(c, m, seed):
+    """m distinct doubles c * (1 + k 2^-40), |k| < 2^17, in random order: within a float32 step of c."""
+    k = np.random.default_rng(seed).permutation(np.arange(-m // 2, m - m // 2) * (2**18 // m))
+    return c * (1.0 + k * 2.0**-40)
+
+
+def _float32_subnormal(m, seed):
+    """m draws of either sign at magnitudes 1e-50 to 1e-37, past float32's least normal (1.2e-38)."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-50.0, -37.0, m)
+
+
 _ANY_ETAS = st.one_of(
     _drawn_etas(),
+    # draws whose float32 keys overflow to +-inf, among ordinary ones
+    st.lists(
+        st.one_of(
+            st.floats(-10.0, 10.0),
+            st.floats(0.999 * _F32_MAX, 1e39),
+            st.floats(-1e39, -0.999 * _F32_MAX),
+        ),
+        min_size=1,
+        max_size=200,
+    ).map(np.array),
+    st.builds(_sharing_keys, st.floats(-60.0, 60.0), st.integers(1, 20_000), st.integers(0, 2**32 - 1)),
+    st.builds(_float32_subnormal, st.integers(1, 10_000), st.integers(0, 2**32 - 1)),
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=200).map(
         np.array
     ),
@@ -1175,19 +1268,25 @@ class TestFrozenDrawsInterval:
     @given(_ETA_LINKS, _ANY_ETAS, _B0)
     def test_interval_contains_the_exact_mean(self, link, eta, b0):
         draws = expectation_mod.FrozenDraws(link, eta)
+        draws.levels  # built where warnings are errors: the float32 keys must not warn
         with np.errstate(all="ignore"):
-            lo, hi = draws.interval(b0)
+            bounds = [draws.interval(b0, level) for level in range(draws.depth)]
             mean = draws.mean(b0)
-        if math.isnan(mean):
-            assert (lo, hi) == (-math.inf, math.inf)
-        else:
-            assert lo <= mean <= hi
+        for lo, hi in bounds:
+            if math.isnan(mean):
+                assert (lo, hi) == (-math.inf, math.inf)
+            else:
+                assert lo <= mean <= hi
         if isinstance(link, Logit):
-            # sum_k p_k (g^-1(upper_k) - g^-1(lower_k)) telescopes under a
-            # g^-1 bounded by [0, 1], and every p_k <= ceil(n / HIST_BINS) / n;
-            # add the two margins of 1e-9 and the sums' rounding
+            # sum_k p_k (g^-1(upper_k) - g^-1(lower_k)) over the keys telescopes
+            # under a g^-1 bounded by [0, 1], and every p_k <= ceil(n / HIST_BINS) / n;
+            # each end's float32 step out, of at most 2^-23 |eta|, adds at most
+            # a quarter of it (the slope of g^-1 is at most 1/4); add the two
+            # margins of 1e-9 and the sums' rounding
             step = math.ceil(eta.size / expectation_mod.HIST_BINS)
-            assert hi - lo <= step / eta.size + 2e-9 + 1e-14
+            widening = 2.0**-24 * float(np.abs(eta).max())
+            lo, hi = bounds[-1]
+            assert hi - lo <= step / eta.size + widening + 2e-9 + 1e-14
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1197,11 +1296,13 @@ class TestFrozenDrawsInterval:
         _B0,
     )
     def test_infinite_draws_build_no_histogram(self, link, finite, infinite, b0):
-        # the sorted runs hold infinite draws as they are, at the two ends
+        # the sorted runs hold infinite draws as they are, at the two ends,
+        # and a finite end one float32 step out from the extreme draw's key
         eta = np.array(finite + infinite)
         draws = expectation_mod.FrozenDraws(link, eta)
-        edges, p, _ = draws.blocks
-        assert (edges[0, 0], edges[1, -1]) == (eta.min(), eta.max())
+        edges, p, _ = draws.levels[-1]
+        assert edges[0, 0] == np.nextafter(np.float32(eta.min()), -np.inf)
+        assert edges[1, -1] == np.nextafter(np.float32(eta.max()), np.inf)
         assert p.sum() == pytest.approx(1.0)
         with np.errstate(all="ignore"):
             lo, hi = draws.interval(b0)
@@ -1212,13 +1313,17 @@ class TestFrozenDrawsInterval:
             assert (lo, hi) == (-math.inf, math.inf)
 
     @pytest.mark.parametrize("link", [Identity(), Log(), Logit()], ids=lambda l: l.name)
-    def test_constant_draws_are_one_zero_width_bin(self, link):
+    def test_constant_draws_are_one_bin_around_their_key(self, link):
         draws = expectation_mod.FrozenDraws(link, np.full(1000, 0.7))
-        edges, p, _ = draws.blocks
-        assert edges.tolist() == [[0.7], [0.7]] and p.tolist() == [1.0]
+        assert draws.depth == 1
+        edges, p, _ = draws.levels[0]
+        key = np.float32(0.7)
+        assert edges.tolist() == [[np.nextafter(key, -np.inf)], [np.nextafter(key, np.inf)]]
+        assert p.tolist() == [1.0]
         lo, hi = draws.interval(-0.2)
         assert lo <= draws.mean(-0.2) <= hi
-        assert hi - lo <= 1e-8
+        # two float32 steps of 6e-8 around 0.5, where the steepest g^-1 (exp) has slope 1.65
+        assert hi - lo <= 3e-7
 
     def test_sorting_the_draws_keeps_se_exact(self):
         # the sort borrows the work buffer that se() writes
@@ -1231,16 +1336,21 @@ class TestFrozenDrawsInterval:
     def test_interval_is_narrow_on_a_solver_sample(self):
         dgp = _logit_cells(betas=(3.0,), targets=(0.3,))[3]  # the gamma z cell
         with MonteCarlo(100_000).expectation(dgp, RngStream(9)) as draws:
-            assert draws.blocks[1].size <= expectation_mod.HIST_BINS
-            lo, hi = draws.interval(-2.0)
-            assert lo <= draws.mean(-2.0) <= hi
+            coarse, fine = draws.levels
+            assert fine[1].size <= expectation_mod.HIST_BINS
+            assert coarse[1].size == -(-fine[1].size // expectation_mod.COARSE_RUNS)
+            (clo, chi), (lo, hi) = draws.interval(-2.0, 0), draws.interval(-2.0, 1)
+            assert clo <= draws.mean(-2.0) <= chi and lo <= draws.mean(-2.0) <= hi
         # 2.2e-4 here; runs of 25 of the 100k draws bound it by 2.5e-4 plus the margins
         assert hi - lo <= 3e-4
+        # runs of 64 * 25 draws bound the coarse one by 0.016
+        assert chi - clo <= 0.016
 
     def test_repeated_runs_join_on_a_few_valued_sample(self):
         dgp = _logit_cells(betas=(3.0,), targets=(0.3,))[0]  # 2 x 3 distinct etas
         with MonteCarlo(100_000).expectation(dgp, RngStream(9)) as draws:
-            edges, p, _ = draws.blocks
+            assert draws.depth == 1  # too few runs for a coarse level
+            edges, p, _ = draws.levels[0]
             # each value's runs join into one, beside at most 5 runs that straddle two values
             assert edges.shape[1] <= 11
             assert p.sum() == pytest.approx(1.0)
