@@ -377,7 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim)
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.add_argument("--replicates", type=int, default=None, help="override replicate count")
-    p_sim.add_argument("--workers", type=int, default=None, help="override worker count (0 = auto)")
+    p_sim.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="override the number of worker processes (0 = one per usable CPU); "
+        "a one-process Monte Carlo grid also uses one helper thread for its draws",
+    )
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

@@ -23,7 +23,7 @@ import numpy as np
 from .datagen import generate
 from .distributions import CovariateSpec, RngStream
 from .errors import ConfigError, Error, MgfDomainError, SpecError, UndefinedMomentError
-from .expectation import Workspace
+from .expectation import WORKSPACE, Workspace
 from .intercept import (
     DgpSpec,
     Engine,
@@ -32,6 +32,7 @@ from .intercept import (
     SOLVER_NAMES,
     Solver,
     Term,
+    prefetch,
     solve,
 )
 from .links import Link
@@ -279,18 +280,41 @@ def _run_cell(cell: GridCell) -> GridRow:
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the OS says (os.cpu_count() counts the host's)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_grid(cfg: GridConfig) -> list[GridRow]:
     """Run every cell; rows come back in scenario-id order.
 
-    cfg.workers > 1 fans cells out over processes, never more than there are
-    cells; the output is identical to the sequential run because each cell's
-    streams depend only on (master_seed, scenario id) and aggregation follows
-    the presorted cell order.
+    cfg.workers counts processes: 0 means one per CPU this process may run
+    on. Above 1, cells fan out over that many processes, never more than
+    there are cells; the output is identical to the sequential run because
+    each cell's streams depend only on (master_seed, scenario id) and
+    aggregation follows the presorted cell order. In one process the cells
+    run in order, and a numeric Monte Carlo grid also uses one helper
+    thread, which draws the next cell's frozen sample while the current cell
+    solves and runs its replicates (expectation.Workspace.drawing_ahead). A
+    draw is a pure function of the cell's terms and stream, so the bits are
+    those of drawing on request. The helper is joined before run_grid
+    returns or raises.
     """
     cells = expand_grid(cfg)
-    w = min(cfg.workers or os.cpu_count() or 1, len(cells))
+    w = min(cfg.workers or _usable_cpus(), len(cells))
     if w <= 1:
-        return [_run_cell(c) for c in cells]
+        rows = []
+        with WORKSPACE.drawing_ahead():
+            for k, cell in enumerate(cells):
+                if k + 1 < len(cells):
+                    s = cells[k + 1].scenario
+                    # the stream run_scenario solves on
+                    rng = scenario_stream(s.master_seed, s.id).child(0)
+                    prefetch(s.dgp, s.solver, s.engine, rng)
+                rows.append(_run_cell(cell))
+        return rows
     # imported here, so that importing balint loads no multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 

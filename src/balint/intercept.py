@@ -34,6 +34,7 @@ has the filter and its proof).
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -73,6 +74,7 @@ __all__ = [
     "moment_mean",
     "expectation_of_mean",
     "solve_numeric",
+    "prefetch",
     "solve",
     "SOLVER_NAMES",
 ]
@@ -286,6 +288,9 @@ class ExactEnumeration:
     name = "exact"
     tol = DEFAULT_TOL_EXACT
 
+    def prefetch(self, dgp: DgpSpec, rng: Optional[RngStream]) -> None:
+        """Nothing: an enumeration draws nothing."""
+
     @contextmanager
     def expectation(self, dgp: DgpSpec, rng: Optional[RngStream]) -> Iterator[Enumerated]:
         """The mean over every attainable value of eta - beta0, but none of probability 0.
@@ -324,16 +329,29 @@ class MonteCarlo:
             raise SpecError(f"n_mc must be at least 2, got {self.n_mc}")
         object.__setattr__(self, "n_mc", int(self.n_mc))
 
+    def prefetch(self, dgp: DgpSpec, rng: RngStream) -> None:
+        """Have expectation(dgp, rng)'s sample drawn ahead on WORKSPACE's helper thread, where one runs.
+
+        A term's draws are a pure function of its spec and stream, so the
+        sample drawn ahead has the same bits as one drawn on request.
+        """
+        draw = functools.partial(draw_terms, dgp.terms, self.n_mc, rng)
+        WORKSPACE.draw_ahead((dgp.terms, self.n_mc, rng), self.n_mc, draw)
+
     @contextmanager
     def expectation(self, dgp: DgpSpec, rng: Optional[RngStream]) -> Iterator[FrozenDraws]:
         """The mean over n_mc joint draws of eta - beta0, one substream of rng per term.
 
-        The draws are frozen in arrays borrowed from WORKSPACE until the block ends.
+        The draws are frozen in arrays borrowed from WORKSPACE until the block
+        ends: the sample prefetch drew for an equal (terms, n_mc, rng), or
+        else one drawn here.
         """
         if rng is None:
             raise SpecError("the Monte Carlo engine needs an rng stream")
+        drawn = WORKSPACE.take((dgp.terms, self.n_mc, rng))
         with WORKSPACE.borrow(self.n_mc) as (eta, x, mu):
-            draw_terms(dgp.terms, self.n_mc, rng, eta, (x, mu))
+            if not drawn:
+                draw_terms(dgp.terms, self.n_mc, rng, eta, (x, mu))
             yield FrozenDraws(dgp.link, eta, (x, mu))
 
 
@@ -555,6 +573,17 @@ def _bisect(expectation: Expectation, link: Link, target: float, tol: float) -> 
 
 Solver = Literal["linear_scale", "log_closed_form", "numeric"]
 SOLVER_NAMES = get_args(Solver)
+
+
+def prefetch(dgp: DgpSpec, method: str, engine: Engine, rng: RngStream) -> None:
+    """Have the sample solve(dgp, method, engine, rng=rng) draws drawn ahead, where it draws one.
+
+    Only solve_numeric takes an engine; inside expectation.WORKSPACE's
+    drawing_ahead() block the engine's prefetch starts the draw on the
+    helper thread, and outside it nothing happens.
+    """
+    if method == "numeric":
+        engine.prefetch(dgp, rng)
 
 
 def solve(

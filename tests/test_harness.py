@@ -3,22 +3,29 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+import balint.expectation as expectation_mod
 import balint.harness as harness_mod
+import balint.intercept as intercept_mod
 from balint import (
     Bernoulli,
     BernoulliOutcome,
     CSV_COLUMNS,
     Categorical,
+    Cauchy,
     ConfigError,
     DgpSpec,
+    ExactEnumeration,
     Gamma,
     GridConfig,
     Identity,
     Log,
+    Logit,
     MgfDomainError,
     MonteCarlo,
     Normal,
@@ -200,15 +207,16 @@ def test_import_loads_no_multiprocessing_or_openssl():
 
     src = str(Path(harness_mod.__file__).resolve().parents[1])
     script = (
-        "import sys\n"
+        "import sys, threading\n"
         "from balint import cli, harness\n"
-        "print(sorted(m for m in ('multiprocessing', '_hashlib') if m in sys.modules))\n"
+        "unwanted = ('multiprocessing', '_hashlib', 'concurrent.futures')\n"
+        "print(sorted(m for m in unwanted if m in sys.modules), threading.active_count())\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     loaded = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.strip()
-    assert loaded == "[]"
+    assert loaded == "[] 1"
 
 
 class TestGridValidation:
@@ -298,10 +306,13 @@ class TestRunGrid:
             buffers.append(buf.getvalue())
         assert buffers[0] == buffers[1]
 
-    @pytest.mark.parametrize("workers,expected", [(500, 4), (2, 2)])
+    @pytest.mark.parametrize("workers,expected", [(500, 4), (2, 2), (0, 1)])
     def test_pool_never_exceeds_cell_count(self, monkeypatch, workers, expected):
-        # a stand-in pool: records its size, maps in-process, starts nothing
+        # a stand-in pool: records its size, maps in-process, starts nothing;
+        # workers 0 counts the one CPU this process may run on, not the host's
         sizes = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -319,7 +330,7 @@ class TestRunGrid:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = small_grid(beta2_axis=(1.0,), workers=workers)
         rows = run_grid(cfg)
-        assert sizes == [expected]
+        assert sizes == ([expected] if expected > 1 else [])
         assert rows == run_grid(dataclasses.replace(cfg, workers=1))
 
     def test_single_cell_grid_runs_in_process(self, monkeypatch):
@@ -348,6 +359,158 @@ class TestRunGrid:
         assert len(clamped) >= 2
         assert all(b < 0 for b in biases)
         assert biases == sorted(biases, reverse=True)  # more negative as target rises
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    write_csv(rows, buf)
+    return buf.getvalue()
+
+
+# Numeric grids whose serial run draws each cell's frozen sample ahead, on a
+# helper thread, while the cell before it runs; the exact one draws nothing.
+DRAW_AHEAD_GRIDS = {
+    "mc_logit": dict(
+        link=Logit(),
+        outcome=BernoulliOutcome(),
+        covariate_axis=(("z", Bernoulli(0.8)), ("z", Normal(0.0, 1.0)), ("z", Gamma(1.0, 1.5))),
+        engine=MonteCarlo(4000),
+    ),
+    # the four Cauchy cells have no mean, so each is skipped before it draws,
+    # and leaves the sample drawn ahead for it unused
+    "mc_identity_cauchy": dict(
+        link=Identity(),
+        covariate_axis=(
+            ("z", Bernoulli(0.8)),
+            ("z", Cauchy(0.0, 1.0)),
+            ("z", UniformContinuous(-1.0, 3.0)),
+        ),
+        engine=MonteCarlo(4000),
+    ),
+    "exact_logit": dict(
+        link=Logit(),
+        outcome=BernoulliOutcome(),
+        covariate_axis=(("z", Bernoulli(0.8)),),
+        target_axis=(0.3, 0.5, 0.7),
+        engine=ExactEnumeration(),
+    ),
+}
+
+
+def draw_ahead_grid(name, **kw):
+    return small_grid(solver="numeric", n=50, replicates=2, **{**DRAW_AHEAD_GRIDS[name], **kw})
+
+
+class TestDrawAhead:
+    @pytest.mark.parametrize("seed", [7, 424242])
+    @pytest.mark.parametrize("name", sorted(DRAW_AHEAD_GRIDS))
+    def test_serial_bytes_equal_the_pool_and_each_cell_alone(self, name, seed):
+        cfg = draw_ahead_grid(name, master_seed=seed)
+        rows = run_grid(cfg)
+        serial = _csv(rows)
+        assert serial == _csv(run_grid(dataclasses.replace(cfg, workers=2)))
+        # run_scenario cell by cell, outside run_grid, draws every sample on request
+        assert serial == _csv([harness_mod._run_cell(c) for c in expand_grid(cfg)])
+        statuses = [r.status for r in rows]
+        assert statuses.count("skipped") == (4 if "cauchy" in name else 0)
+        assert "error" not in statuses
+
+    def test_every_cell_but_the_first_takes_its_sample_drawn_ahead(self, monkeypatch):
+        taken = []
+        take = expectation_mod.Workspace.take
+
+        def recording_take(self, key):
+            taken.append(take(self, key))
+            return taken[-1]
+
+        monkeypatch.setattr(expectation_mod.Workspace, "take", recording_take)
+        run_grid(draw_ahead_grid("mc_logit"))
+        assert taken == [False] + [True] * 11
+        # the skipped Cauchy cells drop the draws made for them; the next
+        # cell to solve finds its own draw ahead
+        taken.clear()
+        run_grid(draw_ahead_grid("mc_identity_cauchy"))
+        assert taken == [False] + [True] * 7
+        ws = expectation_mod.WORKSPACE
+        assert not ws.drawing and ws.helper is None and ws.ahead is None and ws.queued is None
+        # two sets, no more: the one solved in and the spare drawn into
+        assert [a.size for a in ws.arrays + ws.spare] == [4000] * 6
+        assert len({id(a) for a in ws.arrays + ws.spare}) == 6
+
+    def test_a_draw_that_raises_on_the_helper_is_drawn_again_on_request(self, monkeypatch):
+        cfg = draw_ahead_grid("mc_logit")
+        expected = _csv(run_grid(cfg))
+        draw_terms = intercept_mod.draw_terms
+        failed = []
+
+        def failing_off_the_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                failed.append(1)
+                raise RuntimeError("draw failed on the helper")
+            return draw_terms(*args)
+
+        monkeypatch.setattr(intercept_mod, "draw_terms", failing_off_the_main_thread)
+        assert _csv(run_grid(cfg)) == expected
+        assert len(failed) == 11
+
+    def test_two_grids_at_once_under_a_short_switch_interval_keep_their_bits(self):
+        import sys
+
+        cfgs = [draw_ahead_grid(name) for name in ("mc_logit", "mc_identity_cauchy")]
+        expected = [_csv([harness_mod._run_cell(c) for c in expand_grid(cfg)]) for cfg in cfgs]
+        got = [None] * len(cfgs)
+        start = threading.Barrier(len(cfgs), timeout=60)
+
+        def run(k):
+            start.wait()
+            got[k] = _csv(run_grid(cfgs[k]))
+
+        # two grid threads, each with its own helper, on a 2-vCPU box, switching often
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(cfgs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
+    def test_no_thread_outlives_run_grid(self, monkeypatch):
+        cfg = draw_ahead_grid("mc_logit")
+        before = threading.active_count()
+        run_grid(cfg)
+        assert threading.active_count() == before
+
+        run_scenario = harness_mod.run_scenario
+        cells = []
+
+        def failing_third_cell(s):
+            cells.append(s.id)
+            if len(cells) == 3:
+                helpers = [t for t in threading.enumerate() if t.name.startswith("balint-draw-ahead")]
+                assert len(helpers) == 1
+                raise RuntimeError("not a balint Error")
+            return run_scenario(s)
+
+        monkeypatch.setattr(harness_mod, "run_scenario", failing_third_cell)
+        with pytest.raises(RuntimeError, match="not a balint Error"):
+            run_grid(cfg)
+        assert threading.active_count() == before
+        ws = expectation_mod.WORKSPACE
+        assert ws.helper is None and not ws.drawing
+
+    def test_a_grid_that_draws_nothing_ahead_starts_no_thread(self, monkeypatch):
+        def no_executor(*args, **kwargs):
+            raise AssertionError("a closed-form grid must not start a helper")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_executor)
+        # exact enumeration draws nothing, and a closed form takes no engine
+        assert [r.status for r in run_grid(draw_ahead_grid("exact_logit"))] == ["ok"] * 6
+        assert [r.status for r in run_grid(small_grid(engine=MonteCarlo(4000)))] == ["ok"] * 8
 
 
 class TestWriteCsv:
