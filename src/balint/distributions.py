@@ -165,10 +165,12 @@ class UniformContinuous:
         return (self.a + self.b) / 2.0
 
     def mgf(self, t: float) -> float:
-        # analytic limit at t=0; the ratio form is 0/0 there
-        if t == 0.0:
-            return 1.0
-        return (math.exp(t * self.b) - math.exp(t * self.a)) / (t * (self.b - self.a))
+        # (e^(tb) - e^(ta)) / w, w = t(b - a), cancels as w -> 0 (to 0 once |w| < ~1e-16), so near 0
+        # it is e^(ta) expm1(w) / w, 1 at w = 0; elsewhere it stays, so closed forms keep their bits
+        w = t * (self.b - self.a)
+        if abs(w) < 1.0:
+            return math.exp(t * self.a) * math.expm1(w) / w if w else 1.0
+        return (math.exp(t * self.b) - math.exp(t * self.a)) / w
 
 
 @dataclass(frozen=True)

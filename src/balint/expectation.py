@@ -20,9 +20,9 @@ is the same to the bit as without the filter.
 A Monte Carlo solve works in three n_mc-sized float64 arrays: the frozen
 eta, g^-1(b0 + eta), and one scratch, whose first half first holds the
 sorted float32 keys. It borrows them from WORKSPACE, which keeps them
-between solves (Workspace says why). In a sequence of solves, WORKSPACE can
-also have the next solve's sample drawn into a second set on a helper thread
-while the current one solves (Workspace.drawing_ahead).
+between solves (Workspace says why). Handed the plan of a sequence of
+solves, WORKSPACE also has each solve's sample drawn into a second set on a
+helper thread while the solve before it runs (Workspace.drawing_ahead).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 import threading
 from contextlib import contextmanager
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,31 +80,27 @@ class Workspace(threading.local):
     gets fresh arrays, so two borrowers never share memory. Nothing may keep
     a borrowed array past its with block.
 
-    Inside drawing_ahead(), a thread that runs a known sequence of solves
-    has each one's draws made on one helper thread while the solve before
-    it runs. draw_ahead(key, n, draw) announces the request after the next
-    one; draw(eta, (x, mu)) then runs on the helper into a second set of
-    three n arrays, the spare, as soon as no earlier draw holds it. take(key)
-    makes that set this thread's set when its key equals the request's, and
-    the old set becomes the spare: the two sets trade places from solve to
-    solve, so a sequence keeps two sets resident (4.8 MB at the default
-    n_mc). The helper borrows no Workspace: it writes only into the set it
-    is handed, and only the owning thread touches these attributes. A draw
-    still queued at the next announcement means that the request between
-    the two never took its draw ahead (its cell was skipped before
-    drawing), so that draw is dropped and its set kept as the spare. A draw
-    that raised is dropped too, and its request draws on this thread, which
-    raises the error again with its traceback.
+    drawing_ahead(requests) takes the whole plan of a thread that runs a
+    known sequence of solves: one request (key, n, draw) per solve that
+    draws, in order. One helper thread makes each request's draw(eta,
+    (x, mu)) into a second set of three n arrays, the spare, while the solve
+    before it runs. take(key) makes that set this thread's set when its key
+    equals the request's, and the old set becomes the spare, into which the
+    next request is drawn: the two sets trade places from solve to solve, so
+    a sequence keeps two sets resident (4.8 MB at the default n_mc). The
+    helper borrows no Workspace: it writes only into the set it is handed,
+    and only the owning thread touches these attributes. A draw that raised
+    is dropped, and its request draws on this thread, which raises the error
+    again with its traceback.
     """
 
     def __init__(self) -> None:
         self.arrays: tuple[np.ndarray, ...] = ()
         self.lent = False
         self.spare: tuple[np.ndarray, ...] = ()
-        self.drawing = False  # inside drawing_ahead()
-        self.helper = None  # its executor, from the first draw_ahead on
+        self.helper = None  # the executor inside drawing_ahead()
+        self.plan: Iterator[tuple] = iter(())  # the requests not yet started
         self.ahead = None  # (key, future) of the draw that holds the spare
-        self.queued = None  # (key, n, draw) waiting for the spare
 
     @contextmanager
     def borrow(self, n: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -121,41 +117,35 @@ class Workspace(threading.local):
             self.lent = False
 
     @contextmanager
-    def drawing_ahead(self) -> Iterator[None]:
-        """One helper thread for draw_ahead in the with block, joined on exit, also on an error.
+    def drawing_ahead(self, requests: Sequence[tuple]) -> Iterator[None]:
+        """Draw the requests (key, n, draw) in order on one helper thread, joined on exit or error.
 
-        It starts at the first draw_ahead, so a block that draws nothing ahead starts none.
+        The first draw starts here and each take() that takes one starts the
+        next. An empty list starts no thread.
         """
-        self.drawing = True
-        try:
+        if not requests:
             yield
+            return
+        # imported here, so that importing balint loads no concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.plan = iter(requests)
+        try:
+            with ThreadPoolExecutor(1, thread_name_prefix="balint-draw-ahead") as self.helper:
+                self._start()
+                yield
         finally:
-            self.drawing, self.queued = False, None
-            if self.helper is not None:
-                self.helper.shutdown(wait=True)
-                self.helper = None
+            self.helper, self.plan = None, iter(())
             if self.ahead is not None:
                 self.spare = self._settle()
 
-    def draw_ahead(self, key: object, n: int, draw: Callable) -> None:
-        """Queue draw(eta, (x, mu)) on the helper for the request after the next one.
-
-        Outside drawing_ahead() this does nothing.
-        """
-        if not self.drawing:
-            return
-        if self.helper is None:
-            # imported here, so that importing balint loads no concurrent.futures
-            from concurrent.futures import ThreadPoolExecutor
-
-            self.helper = ThreadPoolExecutor(1, thread_name_prefix="balint-draw-ahead")
-        if self.queued is not None:
-            self.spare = self._settle()
-        self.queued = key, n, draw
-        self._start()
-
     def take(self, key: object) -> bool:
-        """Make the set drawn ahead for an equal key this thread's set; False where none was."""
+        """Make the set drawn ahead for an equal key this thread's set, start the next draw, return True.
+
+        False where none was. A key unequal to the draw ahead's leaves that
+        draw in place and starts none, so the rest of the plan draws on
+        request: a mismatch can cost the overlap, never a bit.
+        """
         if self.ahead is None or self.lent or self.ahead[0] != key:
             return False
         arrays = self._settle()
@@ -165,12 +155,13 @@ class Workspace(threading.local):
         return bool(arrays)
 
     def _start(self) -> None:
-        """Start the queued draw where the spare is free."""
-        if self.queued is None or self.ahead is not None:
+        """Start the plan's next draw, into the spare where it has the request's n."""
+        request = next(self.plan, None)
+        if request is None:
             return
-        key, n, draw = self.queued
+        key, n, draw = request
         arrays = self.spare if self.spare and self.spare[0].size == n else ()
-        self.queued, self.spare = None, ()
+        self.spare = ()
         self.ahead = key, self.helper.submit(_draw_into, draw, n, arrays)
 
     def _settle(self) -> tuple[np.ndarray, ...]:
@@ -329,7 +320,7 @@ class Enumerated:
         self.probs = probs
 
     def mean(self, b0: float) -> float:
-        return float(self.probs @ np.atleast_1d(self.link.invert(b0 + self.etas)))
+        return float(self.probs @ self.link.invert(b0 + self.etas))
 
     def se(self, b0: float) -> float:
         return 0.0

@@ -84,6 +84,11 @@ class Scenario:
                 f"(expected one of {SOLVER_NAMES})"
             )
 
+    @property
+    def stream(self) -> RngStream:
+        """The scenario's root stream: the solver draws from child(0), the replicates from child(1)."""
+        return scenario_stream(self.master_seed, self.id)
+
 
 @dataclass(frozen=True)
 class ScenarioResult:
@@ -111,7 +116,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     owns substream (master_seed, id hash, 0). Every replicate is generated
     in the same three n-sized arrays, borrowed from REPLICATE_WORKSPACE.
     """
-    ss = scenario_stream(s.master_seed, s.id)
+    ss = s.stream
     try:
         sol = solve(s.dgp, s.solver, engine=s.engine, tol=s.tol, rng=ss.child(0))
     except Error as e:
@@ -295,26 +300,21 @@ def run_grid(cfg: GridConfig) -> list[GridRow]:
     there are cells; the output is identical to the sequential run because
     each cell's streams depend only on (master_seed, scenario id) and
     aggregation follows the presorted cell order. In one process the cells
-    run in order, and a numeric Monte Carlo grid also uses one helper
-    thread, which draws the next cell's frozen sample while the current cell
-    solves and runs its replicates (expectation.Workspace.drawing_ahead). A
-    draw is a pure function of the cell's terms and stream, so the bits are
-    those of drawing on request. The helper is joined before run_grid
-    returns or raises.
+    run in order. Where they draw frozen Monte Carlo samples, the grid's
+    whole plan, one prefetch request per cell that draws, goes to one helper
+    thread, which draws each cell's sample while the cell before it solves
+    and runs its replicates (expectation.Workspace.drawing_ahead). A draw is
+    a pure function of the cell's terms and stream, so the bits are those of
+    drawing on request. The helper is joined before run_grid returns or
+    raises.
     """
     cells = expand_grid(cfg)
     w = min(cfg.workers or _usable_cpus(), len(cells))
     if w <= 1:
-        rows = []
-        with WORKSPACE.drawing_ahead():
-            for k, cell in enumerate(cells):
-                if k + 1 < len(cells):
-                    s = cells[k + 1].scenario
-                    # the stream run_scenario solves on
-                    rng = scenario_stream(s.master_seed, s.id).child(0)
-                    prefetch(s.dgp, s.solver, s.engine, rng)
-                rows.append(_run_cell(cell))
-        return rows
+        scenarios = [cell.scenario for cell in cells]
+        plan = [prefetch(s.dgp, s.solver, s.engine, s.stream.child(0)) for s in scenarios]
+        with WORKSPACE.drawing_ahead([request for request in plan if request is not None]):
+            return [_run_cell(cell) for cell in cells]
     # imported here, so that importing balint loads no multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 

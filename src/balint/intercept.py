@@ -289,7 +289,7 @@ class ExactEnumeration:
     tol = DEFAULT_TOL_EXACT
 
     def prefetch(self, dgp: DgpSpec, rng: Optional[RngStream]) -> None:
-        """Nothing: an enumeration draws nothing."""
+        """No request for Workspace.drawing_ahead: an enumeration draws nothing."""
 
     @contextmanager
     def expectation(self, dgp: DgpSpec, rng: Optional[RngStream]) -> Iterator[Enumerated]:
@@ -329,22 +329,22 @@ class MonteCarlo:
             raise SpecError(f"n_mc must be at least 2, got {self.n_mc}")
         object.__setattr__(self, "n_mc", int(self.n_mc))
 
-    def prefetch(self, dgp: DgpSpec, rng: RngStream) -> None:
-        """Have expectation(dgp, rng)'s sample drawn ahead on WORKSPACE's helper thread, where one runs.
+    def prefetch(self, dgp: DgpSpec, rng: RngStream) -> tuple:
+        """The request (key, n, draw) that has WORKSPACE.drawing_ahead draw expectation(dgp, rng)'s sample.
 
         A term's draws are a pure function of its spec and stream, so the
         sample drawn ahead has the same bits as one drawn on request.
         """
         draw = functools.partial(draw_terms, dgp.terms, self.n_mc, rng)
-        WORKSPACE.draw_ahead((dgp.terms, self.n_mc, rng), self.n_mc, draw)
+        return (dgp.terms, self.n_mc, rng), self.n_mc, draw
 
     @contextmanager
     def expectation(self, dgp: DgpSpec, rng: Optional[RngStream]) -> Iterator[FrozenDraws]:
         """The mean over n_mc joint draws of eta - beta0, one substream of rng per term.
 
         The draws are frozen in arrays borrowed from WORKSPACE until the block
-        ends: the sample prefetch drew for an equal (terms, n_mc, rng), or
-        else one drawn here.
+        ends: the sample drawn ahead for prefetch's request with an equal
+        (terms, n_mc, rng), or else one drawn here.
         """
         if rng is None:
             raise SpecError("the Monte Carlo engine needs an rng stream")
@@ -446,16 +446,17 @@ def solve_log_closed_form(dgp: DgpSpec) -> InterceptSolution:
     )
 
 
+def _check_moments(dgp: DgpSpec) -> None:
+    """Raise, by term name, where a term's Link.moment does not exist: a sample would estimate nothing."""
+    for term in dgp.terms:
+        dgp.link.moment(term)
+
+
 def _expectation(
     dgp: DgpSpec, engine: Engine, rng: Optional[RngStream]
 ) -> ContextManager[Expectation]:
-    """b0 -> E[g^-1(b0 + eta)] under the engine, as a context manager for a with block.
-
-    A term whose Link.moment does not exist is refused first, since a sample
-    would estimate nothing.
-    """
-    for term in dgp.terms:
-        dgp.link.moment(term)
+    """b0 -> E[g^-1(b0 + eta)] under the engine, as a context manager, once _check_moments passes."""
+    _check_moments(dgp)
     return engine.expectation(dgp, rng)
 
 
@@ -575,15 +576,20 @@ Solver = Literal["linear_scale", "log_closed_form", "numeric"]
 SOLVER_NAMES = get_args(Solver)
 
 
-def prefetch(dgp: DgpSpec, method: str, engine: Engine, rng: RngStream) -> None:
-    """Have the sample solve(dgp, method, engine, rng=rng) draws drawn ahead, where it draws one.
+def prefetch(dgp: DgpSpec, method: str, engine: Engine, rng: RngStream) -> Optional[tuple]:
+    """The request for WORKSPACE.drawing_ahead that draws solve(dgp, method, engine, rng=rng)'s sample.
 
-    Only solve_numeric takes an engine; inside expectation.WORKSPACE's
-    drawing_ahead() block the engine's prefetch starts the draw on the
-    helper thread, and outside it nothing happens.
+    None where the solve draws none: only solve_numeric takes an engine,
+    exact enumeration draws nothing, and a term whose moment _check_moments
+    refuses is refused before anything is drawn.
     """
-    if method == "numeric":
-        engine.prefetch(dgp, rng)
+    if method != "numeric":
+        return None
+    try:
+        _check_moments(dgp)
+    except InfeasibleError:
+        return None
+    return engine.prefetch(dgp, rng)
 
 
 def solve(

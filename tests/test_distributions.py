@@ -310,6 +310,15 @@ class TestMgf:
         spec = QUAD_SPECS[key]
         assert spec.mgf(t) == pytest.approx(QUAD_MGF[(key, t)], rel=5e-12)
 
+    @pytest.mark.parametrize("t", [1e-300, -1e-17, 1e-9, -0.2499, 0.2499])
+    def test_uniform_near_zero_keeps_its_digits(self, t):
+        # the difference of exponentials cancels near t = 0: at t = 1e-17 it gave 0
+        a, b = -1.0, 3.0
+        series = math.fsum(
+            t**k * (b ** (k + 1) - a ** (k + 1)) / ((b - a) * math.factorial(k + 1)) for k in range(40)
+        )
+        assert UniformContinuous(a, b).mgf(t) == pytest.approx(series, rel=1e-15)
+
     def test_bernoulli_two_point_form(self):
         assert Bernoulli(0.35).mgf(1.3) == pytest.approx(
             0.65 + 0.35 * math.exp(1.3), rel=1e-14

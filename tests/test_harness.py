@@ -377,7 +377,7 @@ DRAW_AHEAD_GRIDS = {
         engine=MonteCarlo(4000),
     ),
     # the four Cauchy cells have no mean, so each is skipped before it draws,
-    # and leaves the sample drawn ahead for it unused
+    # and the plan holds no request for them
     "mc_identity_cauchy": dict(
         link=Identity(),
         covariate_axis=(
@@ -401,6 +401,27 @@ def draw_ahead_grid(name, **kw):
     return small_grid(solver="numeric", n=50, replicates=2, **{**DRAW_AHEAD_GRIDS[name], **kw})
 
 
+def _record_takes(monkeypatch):
+    """The list that each Workspace.take appends its result to."""
+    taken = []
+    take = expectation_mod.Workspace.take
+
+    def recording_take(self, key):
+        taken.append(take(self, key))
+        return taken[-1]
+
+    monkeypatch.setattr(expectation_mod.Workspace, "take", recording_take)
+    return taken
+
+
+def _assert_two_sets_and_no_helper():
+    ws = expectation_mod.WORKSPACE
+    assert ws.helper is None and ws.ahead is None and next(ws.plan, None) is None
+    # two sets, no more: the one solved in and the spare drawn into
+    assert [a.size for a in ws.arrays + ws.spare] == [4000] * 6
+    assert len({id(a) for a in ws.arrays + ws.spare}) == 6
+
+
 class TestDrawAhead:
     @pytest.mark.parametrize("seed", [7, 424242])
     @pytest.mark.parametrize("name", sorted(DRAW_AHEAD_GRIDS))
@@ -415,27 +436,34 @@ class TestDrawAhead:
         assert statuses.count("skipped") == (4 if "cauchy" in name else 0)
         assert "error" not in statuses
 
-    def test_every_cell_but_the_first_takes_its_sample_drawn_ahead(self, monkeypatch):
-        taken = []
-        take = expectation_mod.Workspace.take
-
-        def recording_take(self, key):
-            taken.append(take(self, key))
-            return taken[-1]
-
-        monkeypatch.setattr(expectation_mod.Workspace, "take", recording_take)
+    def test_every_cell_takes_its_sample_drawn_ahead(self, monkeypatch):
+        taken = _record_takes(monkeypatch)
         run_grid(draw_ahead_grid("mc_logit"))
-        assert taken == [False] + [True] * 11
-        # the skipped Cauchy cells drop the draws made for them; the next
-        # cell to solve finds its own draw ahead
+        assert taken == [True] * 12
+        # the skipped Cauchy cells have no request, so each cell that solves
+        # finds its own draw ahead
         taken.clear()
         run_grid(draw_ahead_grid("mc_identity_cauchy"))
-        assert taken == [False] + [True] * 7
-        ws = expectation_mod.WORKSPACE
-        assert not ws.drawing and ws.helper is None and ws.ahead is None and ws.queued is None
-        # two sets, no more: the one solved in and the spare drawn into
-        assert [a.size for a in ws.arrays + ws.spare] == [4000] * 6
-        assert len({id(a) for a in ws.arrays + ws.spare}) == 6
+        assert taken == [True] * 8
+        _assert_two_sets_and_no_helper()
+
+    def test_a_cell_whose_request_has_another_stream_draws_on_request(self, monkeypatch):
+        cfg = draw_ahead_grid("mc_logit")
+        expected = _csv([harness_mod._run_cell(c) for c in expand_grid(cfg)])
+        rngs = []
+
+        def prefetch_with_the_first_cells_stream(dgp, method, engine, rng):
+            rngs.append(rng)
+            return intercept_mod.prefetch(dgp, method, engine, rngs[0] if len(rngs) == 4 else rng)
+
+        # run_grid calls intercept.prefetch by the name harness imported
+        monkeypatch.setattr(harness_mod, "prefetch", prefetch_with_the_first_cells_stream)
+        taken = _record_takes(monkeypatch)
+        assert _csv(run_grid(cfg)) == expected
+        # the fourth cell's key differs from its request's, so it draws on
+        # request, and that request stays ahead of every later cell's
+        assert taken == [True] * 3 + [False] * 9
+        _assert_two_sets_and_no_helper()
 
     def test_a_draw_that_raises_on_the_helper_is_drawn_again_on_request(self, monkeypatch):
         cfg = draw_ahead_grid("mc_logit")
@@ -451,7 +479,7 @@ class TestDrawAhead:
 
         monkeypatch.setattr(intercept_mod, "draw_terms", failing_off_the_main_thread)
         assert _csv(run_grid(cfg)) == expected
-        assert len(failed) == 11
+        assert len(failed) == 12
 
     def test_two_grids_at_once_under_a_short_switch_interval_keep_their_bits(self):
         import sys
@@ -501,7 +529,7 @@ class TestDrawAhead:
             run_grid(cfg)
         assert threading.active_count() == before
         ws = expectation_mod.WORKSPACE
-        assert ws.helper is None and not ws.drawing
+        assert ws.helper is None and ws.ahead is None
 
     def test_a_grid_that_draws_nothing_ahead_starts_no_thread(self, monkeypatch):
         def no_executor(*args, **kwargs):

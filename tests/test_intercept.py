@@ -773,6 +773,59 @@ class TestNumericProperties:
         assert abs(value - dgp.target_mean) <= 1e-10
 
 
+@st.composite
+def _six_family_dgps(draw):
+    """A log- or identity-link DGP of 1-3 terms over the six families, and a solver stream."""
+    link = draw(st.sampled_from([Identity(), Log()]))
+    terms = []
+    for i in range(draw(st.integers(1, 3))):
+        family = draw(st.sampled_from(["bernoulli", "categorical", "uniform", "normal", "gamma", "cauchy"]))
+        beta = draw(st.floats(-1.5, 1.5))
+        if family == "bernoulli":
+            spec = Bernoulli(draw(st.floats(0.05, 0.95)))
+        elif family == "categorical":
+            p = draw(st.integers(2, 4))
+            raw = draw(st.lists(st.floats(0.05, 1.0), min_size=p, max_size=p))
+            spec = Categorical(tuple(v / sum(raw) for v in raw), draw(st.sampled_from(CODINGS)))
+            beta = tuple(draw(st.floats(-1.5, 1.5)) for _ in range(p - 1))
+        elif family == "uniform":
+            lo = draw(st.floats(-2.0, 2.0))
+            spec = UniformContinuous(lo, lo + draw(st.floats(0.1, 3.0)))
+        elif family == "normal":
+            spec = Normal(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 1.5)))
+        elif family == "gamma":
+            spec = Gamma(draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0)))
+        else:
+            spec = Cauchy(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 2.0)))
+        terms.append(Term(f"x{i}", spec, beta))
+    target = draw(st.floats(-2.0, 2.0) if link == Identity() else st.floats(0.05, 5.0))
+    dgp = DgpSpec(tuple(terms), link, NormalOutcome(1.0), target)
+    return dgp, RngStream(draw(st.integers(0, 2**64 - 1)))
+
+
+class TestMonteCarloAgainstMoments:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_six_family_dgps())
+    def test_solve_is_within_four_se_of_the_moments(self, case):
+        dgp, rng = case
+        engine = MonteCarlo(20_000)
+        try:
+            moment_mean(0.0, dgp)
+        except (UndefinedMomentError, MgfDomainError):
+            # no balancing intercept: refused by term name before drawing
+            with pytest.raises(InfeasibleError, match="term 'x"):
+                solve_numeric(dgp, engine=engine, rng=rng)
+            return
+        sol = solve_numeric(dgp, engine=engine, rng=rng)
+        if not dgp.link.finite_variance(dgp.terms):
+            assert "infinite_variance" in sol.warnings
+            return
+        assert "infinite_variance" not in sol.warnings
+        value = moment_mean(sol.beta0, dgp)
+        assert value is not None
+        assert abs(value - dgp.target_mean) <= engine.tol + 4.0 * sol.mc_se
+
+
 class TestDispatcher:
     def test_by_name(self):
         dgp = cat_dgp()
