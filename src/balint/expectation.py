@@ -20,9 +20,7 @@ is the same to the bit as without the filter.
 A Monte Carlo solve works in three n_mc-sized float64 arrays: the frozen
 eta, g^-1(b0 + eta), and one scratch, whose first half first holds the
 sorted float32 keys. It borrows them from WORKSPACE, which keeps them
-between solves (Workspace says why). Handed the plan of a sequence of
-solves, WORKSPACE also has each solve's sample drawn into a second set on a
-helper thread while the solve before it runs (Workspace.drawing_ahead).
+between solves, one set per thread (Workspace says why).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import math
 import threading
 from contextlib import contextmanager
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -69,38 +67,22 @@ class Workspace(threading.local):
     (datagen.generate's work). A process running a Monte Carlo grid keeps
     three n_mc arrays resident per thread that has solved, 2.4 MB at the
     default n_mc of 100,000, below the five n_mc arrays a solve used to hold
-    at once; one running replicates keeps three n arrays, 240 KB at
-    n = 10,000. Allocated per use, arrays of this size go back to the OS
-    when freed (glibc unmaps them or trims the heap top), so the next use
-    faults every page in again: about 1,650 minor page faults per 100k-draw
-    solve, near a third of its time on a 2-vCPU VM, and about 25 per
-    10k-row fig1 replicate.
+    at once; run_grid's helper thread, which runs every other cell of such a
+    grid, holds the second set until the grid ends. One running replicates
+    keeps three n arrays, 240 KB at n = 10,000. Allocated per use, arrays of
+    this size go back to the OS when freed (glibc unmaps them or trims the
+    heap top), so the next use faults every page in again: about 1,650 minor
+    page faults per 100k-draw solve, near a third of its time on a 2-vCPU
+    VM, and about 25 per 10k-row fig1 replicate.
 
     A borrow made while this thread's set is already lent (a nested solve)
     gets fresh arrays, so two borrowers never share memory. Nothing may keep
     a borrowed array past its with block.
-
-    drawing_ahead(requests) takes the whole plan of a thread that runs a
-    known sequence of solves: one request (key, n, draw) per solve that
-    draws, in order. One helper thread makes each request's draw(eta,
-    (x, mu)) into a second set of three n arrays, the spare, while the solve
-    before it runs. take(key) makes that set this thread's set when its key
-    equals the request's, and the old set becomes the spare, into which the
-    next request is drawn: the two sets trade places from solve to solve, so
-    a sequence keeps two sets resident (4.8 MB at the default n_mc). The
-    helper borrows no Workspace: it writes only into the set it is handed,
-    and only the owning thread touches these attributes. A draw that raised
-    is dropped, and its request draws on this thread, which raises the error
-    again with its traceback.
     """
 
     def __init__(self) -> None:
         self.arrays: tuple[np.ndarray, ...] = ()
         self.lent = False
-        self.spare: tuple[np.ndarray, ...] = ()
-        self.helper = None  # the executor inside drawing_ahead()
-        self.plan: Iterator[tuple] = iter(())  # the requests not yet started
-        self.ahead = None  # (key, future) of the draw that holds the spare
 
     @contextmanager
     def borrow(self, n: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -115,70 +97,6 @@ class Workspace(threading.local):
             yield self.arrays
         finally:
             self.lent = False
-
-    @contextmanager
-    def drawing_ahead(self, requests: Sequence[tuple]) -> Iterator[None]:
-        """Draw the requests (key, n, draw) in order on one helper thread, joined on exit or error.
-
-        The first draw starts here and each take() that takes one starts the
-        next. An empty list starts no thread.
-        """
-        if not requests:
-            yield
-            return
-        # imported here, so that importing balint loads no concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.plan = iter(requests)
-        try:
-            with ThreadPoolExecutor(1, thread_name_prefix="balint-draw-ahead") as self.helper:
-                self._start()
-                yield
-        finally:
-            self.helper, self.plan = None, iter(())
-            if self.ahead is not None:
-                self.spare = self._settle()
-
-    def take(self, key: object) -> bool:
-        """Make the set drawn ahead for an equal key this thread's set, start the next draw, return True.
-
-        False where none was. A key unequal to the draw ahead's leaves that
-        draw in place and starts none, so the rest of the plan draws on
-        request: a mismatch can cost the overlap, never a bit.
-        """
-        if self.ahead is None or self.lent or self.ahead[0] != key:
-            return False
-        arrays = self._settle()
-        if arrays:
-            self.arrays, self.spare = arrays, self.arrays
-        self._start()
-        return bool(arrays)
-
-    def _start(self) -> None:
-        """Start the plan's next draw, into the spare where it has the request's n."""
-        request = next(self.plan, None)
-        if request is None:
-            return
-        key, n, draw = request
-        arrays = self.spare if self.spare and self.spare[0].size == n else ()
-        self.spare = ()
-        self.ahead = key, self.helper.submit(_draw_into, draw, n, arrays)
-
-    def _settle(self) -> tuple[np.ndarray, ...]:
-        """Wait for the draw ahead and return its set, or () where it raised."""
-        future = self.ahead[1]
-        self.ahead = None
-        try:
-            return future.result()
-        except Exception:  # the request draws again on this thread, and raises it there
-            return ()
-
-
-def _draw_into(draw: Callable, n: int, arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """The helper's job: draw into arrays, or into three new n arrays where none are given."""
-    arrays = arrays or tuple(np.empty(n) for _ in range(3))
-    draw(arrays[0], arrays[1:])
-    return arrays
 
 
 WORKSPACE = Workspace()
@@ -312,7 +230,7 @@ class FrozenDraws:
 
 
 class Enumerated:
-    """E[g^-1(b0 + eta)] over a finite support, exactly; its interval is that value."""
+    """E[g^-1(b0 + eta)] over a finite support, exactly, so it has no interval levels."""
 
     def __init__(self, link: Link, etas: np.ndarray, probs: np.ndarray) -> None:
         self.link = link
@@ -325,11 +243,7 @@ class Enumerated:
     def se(self, b0: float) -> float:
         return 0.0
 
-    depth = 1
-
-    def interval(self, b0: float, level: int = -1) -> tuple[float, float]:
-        value = self.mean(b0)
-        return value, value
+    depth = 0
 
 
 Expectation = Union[Enumerated, FrozenDraws]
@@ -342,10 +256,9 @@ class Residual:
     holds agrees at both bounds it holds on all of [lo, hi], so the exact
     pass is skipped; otherwise the next level's bounds replace them, and
     after the finest level the pass runs and its f replaces the bounds.
-    fl(x - target) is monotone, so bounds on the mean give bounds on f. A
-    zero-width interval is the exact value. Each level's bounds are taken
-    when a test first needs them, so a Residual that is never tested costs
-    nothing.
+    fl(x - target) is monotone, so bounds on the mean give bounds on f. Each
+    level's bounds are taken when a test first needs them, so a Residual
+    that is never tested costs nothing.
     """
 
     def __init__(self, expectation: Expectation, b0: float, target: float) -> None:
@@ -369,5 +282,4 @@ class Residual:
             lo, hi = self.expectation.interval(self.b0, self.level)
             self.level += 1
             self.lo, self.hi = lo - self.target, hi - self.target
-            self.exact = self.lo if lo == hi else None
         return holds(self.value())

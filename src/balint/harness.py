@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass, fields
@@ -23,16 +24,16 @@ import numpy as np
 from .datagen import generate
 from .distributions import CovariateSpec, RngStream
 from .errors import ConfigError, Error, MgfDomainError, SpecError, UndefinedMomentError
-from .expectation import WORKSPACE, Workspace
+from .expectation import Workspace
 from .intercept import (
     DgpSpec,
     Engine,
     ExactEnumeration,
+    MonteCarlo,
     OutcomeFamily,
     SOLVER_NAMES,
     Solver,
     Term,
-    prefetch,
     solve,
 )
 from .links import Link
@@ -300,27 +301,40 @@ def run_grid(cfg: GridConfig) -> list[GridRow]:
     there are cells; the output is identical to the sequential run because
     each cell's streams depend only on (master_seed, scenario id) and
     aggregation follows the presorted cell order. In one process the cells
-    run in order. Where they draw frozen Monte Carlo samples, the grid's
-    whole plan, one prefetch request per cell that draws, goes to one helper
-    thread, which draws each cell's sample while the cell before it solves
-    and runs its replicates (expectation.Workspace.drawing_ahead). A draw is
-    a pure function of the cell's terms and stream, so the bits are those of
-    drawing on request. The helper is joined before run_grid returns or
+    run in order, except in a grid that solves numerically with the Monte
+    Carlo engine: there one helper thread runs the odd-indexed cells while
+    this thread runs the even ones, so that one cell's solve overlaps
+    another's. Each thread solves and generates in its own Workspace sets,
+    so the bits are those of the cells run one by one. The helper's queued
+    cells are cancelled, and the helper joined, before run_grid returns or
     raises.
     """
     cells = expand_grid(cfg)
     w = min(cfg.workers or _usable_cpus(), len(cells))
-    if w <= 1:
-        scenarios = [cell.scenario for cell in cells]
-        plan = [prefetch(s.dgp, s.solver, s.engine, s.stream.child(0)) for s in scenarios]
-        with WORKSPACE.drawing_ahead([request for request in plan if request is not None]):
-            return [_run_cell(cell) for cell in cells]
-    # imported here, so that importing balint loads no multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    if w > 1:
+        # imported here, so that importing balint loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(cells) // (4 * w))
-    with ProcessPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(_run_cell, cells, chunksize=chunk))
+        chunk = max(1, len(cells) // (4 * w))
+        with ProcessPoolExecutor(max_workers=w) as ex:
+            return list(ex.map(_run_cell, cells, chunksize=chunk))
+    if cfg.solver != "numeric" or cfg.engine.name != MonteCarlo.name:
+        return [_run_cell(cell) for cell in cells]
+    # imported here, so that importing balint loads no concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
+    helper = ThreadPoolExecutor(1, thread_name_prefix="balint-cells")
+    try:
+        odd = helper.map(_run_cell, cells[1::2])
+        rows = []
+        for cell in cells[::2]:
+            rows.append(_run_cell(cell))
+            # the helper's next row, waited for here so that its failure ends the grid
+            rows.extend(itertools.islice(odd, 1))
+        return rows
+    finally:
+        # not a with block, whose exit would run every queued cell first
+        helper.shutdown(cancel_futures=True)
 
 
 def _float_text(value: float) -> str:

@@ -34,7 +34,6 @@ has the filter and its proof).
 
 from __future__ import annotations
 
-import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -74,7 +73,6 @@ __all__ = [
     "moment_mean",
     "expectation_of_mean",
     "solve_numeric",
-    "prefetch",
     "solve",
     "SOLVER_NAMES",
 ]
@@ -288,9 +286,6 @@ class ExactEnumeration:
     name = "exact"
     tol = DEFAULT_TOL_EXACT
 
-    def prefetch(self, dgp: DgpSpec, rng: Optional[RngStream]) -> None:
-        """No request for Workspace.drawing_ahead: an enumeration draws nothing."""
-
     @contextmanager
     def expectation(self, dgp: DgpSpec, rng: Optional[RngStream]) -> Iterator[Enumerated]:
         """The mean over every attainable value of eta - beta0, but none of probability 0.
@@ -329,29 +324,17 @@ class MonteCarlo:
             raise SpecError(f"n_mc must be at least 2, got {self.n_mc}")
         object.__setattr__(self, "n_mc", int(self.n_mc))
 
-    def prefetch(self, dgp: DgpSpec, rng: RngStream) -> tuple:
-        """The request (key, n, draw) that has WORKSPACE.drawing_ahead draw expectation(dgp, rng)'s sample.
-
-        A term's draws are a pure function of its spec and stream, so the
-        sample drawn ahead has the same bits as one drawn on request.
-        """
-        draw = functools.partial(draw_terms, dgp.terms, self.n_mc, rng)
-        return (dgp.terms, self.n_mc, rng), self.n_mc, draw
-
     @contextmanager
     def expectation(self, dgp: DgpSpec, rng: Optional[RngStream]) -> Iterator[FrozenDraws]:
         """The mean over n_mc joint draws of eta - beta0, one substream of rng per term.
 
-        The draws are frozen in arrays borrowed from WORKSPACE until the block
-        ends: the sample drawn ahead for prefetch's request with an equal
-        (terms, n_mc, rng), or else one drawn here.
+        The draws are frozen in arrays borrowed from this thread's WORKSPACE
+        until the block ends.
         """
         if rng is None:
             raise SpecError("the Monte Carlo engine needs an rng stream")
-        drawn = WORKSPACE.take((dgp.terms, self.n_mc, rng))
         with WORKSPACE.borrow(self.n_mc) as (eta, x, mu):
-            if not drawn:
-                draw_terms(dgp.terms, self.n_mc, rng, eta, (x, mu))
+            draw_terms(dgp.terms, self.n_mc, rng, eta, (x, mu))
             yield FrozenDraws(dgp.link, eta, (x, mu))
 
 
@@ -446,17 +429,16 @@ def solve_log_closed_form(dgp: DgpSpec) -> InterceptSolution:
     )
 
 
-def _check_moments(dgp: DgpSpec) -> None:
-    """Raise, by term name, where a term's Link.moment does not exist: a sample would estimate nothing."""
-    for term in dgp.terms:
-        dgp.link.moment(term)
-
-
 def _expectation(
     dgp: DgpSpec, engine: Engine, rng: Optional[RngStream]
 ) -> ContextManager[Expectation]:
-    """b0 -> E[g^-1(b0 + eta)] under the engine, as a context manager, once _check_moments passes."""
-    _check_moments(dgp)
+    """b0 -> E[g^-1(b0 + eta)] under the engine, as a context manager.
+
+    Raises first, by term name, where a term's Link.moment does not exist:
+    a sample would estimate nothing.
+    """
+    for term in dgp.terms:
+        dgp.link.moment(term)
     return engine.expectation(dgp, rng)
 
 
@@ -507,7 +489,7 @@ def solve_numeric(
     levels: about 64 coarse runs of the sorted draws answer about half of
     the steps that need an interval where the sample has them, and the fine
     level's 4096 runs are taken only where the coarse bounds disagree.
-    Exact enumeration's interval is its exact value.
+    Exact enumeration has no interval: every step takes its exact value.
     """
     if tol is None:
         tol = engine.tol
@@ -574,22 +556,6 @@ def _bisect(expectation: Expectation, link: Link, target: float, tol: float) -> 
 
 Solver = Literal["linear_scale", "log_closed_form", "numeric"]
 SOLVER_NAMES = get_args(Solver)
-
-
-def prefetch(dgp: DgpSpec, method: str, engine: Engine, rng: RngStream) -> Optional[tuple]:
-    """The request for WORKSPACE.drawing_ahead that draws solve(dgp, method, engine, rng=rng)'s sample.
-
-    None where the solve draws none: only solve_numeric takes an engine,
-    exact enumeration draws nothing, and a term whose moment _check_moments
-    refuses is refused before anything is drawn.
-    """
-    if method != "numeric":
-        return None
-    try:
-        _check_moments(dgp)
-    except InfeasibleError:
-        return None
-    return engine.prefetch(dgp, rng)
 
 
 def solve(

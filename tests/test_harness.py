@@ -367,17 +367,16 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
-# Numeric grids whose serial run draws each cell's frozen sample ahead, on a
-# helper thread, while the cell before it runs; the exact one draws nothing.
-DRAW_AHEAD_GRIDS = {
+# Numeric grids whose serial run hands every other cell to a helper thread
+# when they use the Monte Carlo engine; the exact one runs on this thread.
+HELPER_GRIDS = {
     "mc_logit": dict(
         link=Logit(),
         outcome=BernoulliOutcome(),
         covariate_axis=(("z", Bernoulli(0.8)), ("z", Normal(0.0, 1.0)), ("z", Gamma(1.0, 1.5))),
         engine=MonteCarlo(4000),
     ),
-    # the four Cauchy cells have no mean, so each is skipped before it draws,
-    # and the plan holds no request for them
+    # the four Cauchy cells have no mean, so each is skipped before it draws
     "mc_identity_cauchy": dict(
         link=Identity(),
         covariate_axis=(
@@ -397,95 +396,94 @@ DRAW_AHEAD_GRIDS = {
 }
 
 
-def draw_ahead_grid(name, **kw):
-    return small_grid(solver="numeric", n=50, replicates=2, **{**DRAW_AHEAD_GRIDS[name], **kw})
+def helper_grid(name, **kw):
+    return small_grid(solver="numeric", n=50, replicates=2, **{**HELPER_GRIDS[name], **kw})
 
 
-def _record_takes(monkeypatch):
-    """The list that each Workspace.take appends its result to."""
-    taken = []
-    take = expectation_mod.Workspace.take
-
-    def recording_take(self, key):
-        taken.append(take(self, key))
-        return taken[-1]
-
-    monkeypatch.setattr(expectation_mod.Workspace, "take", recording_take)
-    return taken
+def _each_cell_alone(cfg) -> str:
+    return _csv([harness_mod._run_cell(c) for c in expand_grid(cfg)])
 
 
-def _assert_two_sets_and_no_helper():
-    ws = expectation_mod.WORKSPACE
-    assert ws.helper is None and ws.ahead is None and next(ws.plan, None) is None
-    # two sets, no more: the one solved in and the spare drawn into
-    assert [a.size for a in ws.arrays + ws.spare] == [4000] * 6
-    assert len({id(a) for a in ws.arrays + ws.spare}) == 6
+def _record_threads(monkeypatch):
+    """The dict that each run_scenario call enters {scenario id: thread name} into."""
+    threads = {}
+    run_scenario = harness_mod.run_scenario
+
+    def recording(s):
+        threads[s.id] = threading.current_thread().name
+        return run_scenario(s)
+
+    monkeypatch.setattr(harness_mod, "run_scenario", recording)
+    return threads
 
 
-class TestDrawAhead:
+class TestHelperCells:
     @pytest.mark.parametrize("seed", [7, 424242])
-    @pytest.mark.parametrize("name", sorted(DRAW_AHEAD_GRIDS))
+    @pytest.mark.parametrize("name", sorted(HELPER_GRIDS))
     def test_serial_bytes_equal_the_pool_and_each_cell_alone(self, name, seed):
-        cfg = draw_ahead_grid(name, master_seed=seed)
+        cfg = helper_grid(name, master_seed=seed)
         rows = run_grid(cfg)
         serial = _csv(rows)
         assert serial == _csv(run_grid(dataclasses.replace(cfg, workers=2)))
-        # run_scenario cell by cell, outside run_grid, draws every sample on request
-        assert serial == _csv([harness_mod._run_cell(c) for c in expand_grid(cfg)])
+        # _run_cell cell by cell, outside run_grid, runs every cell on this thread
+        assert serial == _each_cell_alone(cfg)
         statuses = [r.status for r in rows]
         assert statuses.count("skipped") == (4 if "cauchy" in name else 0)
         assert "error" not in statuses
 
-    def test_every_cell_takes_its_sample_drawn_ahead(self, monkeypatch):
-        taken = _record_takes(monkeypatch)
-        run_grid(draw_ahead_grid("mc_logit"))
-        assert taken == [True] * 12
-        # the skipped Cauchy cells have no request, so each cell that solves
-        # finds its own draw ahead
-        taken.clear()
-        run_grid(draw_ahead_grid("mc_identity_cauchy"))
-        assert taken == [True] * 8
-        _assert_two_sets_and_no_helper()
+    def test_even_cells_run_here_and_odd_cells_on_the_helper(self, monkeypatch):
+        threads = _record_threads(monkeypatch)
+        solver_sets = set()
+        run_cell = harness_mod._run_cell
 
-    def test_a_cell_whose_request_has_another_stream_draws_on_request(self, monkeypatch):
-        cfg = draw_ahead_grid("mc_logit")
-        expected = _csv([harness_mod._run_cell(c) for c in expand_grid(cfg)])
-        rngs = []
+        def recording_run_cell(cell):
+            row = run_cell(cell)
+            solver_sets.add(tuple(id(a) for a in expectation_mod.WORKSPACE.arrays))
+            return row
 
-        def prefetch_with_the_first_cells_stream(dgp, method, engine, rng):
-            rngs.append(rng)
-            return intercept_mod.prefetch(dgp, method, engine, rngs[0] if len(rngs) == 4 else rng)
+        monkeypatch.setattr(harness_mod, "_run_cell", recording_run_cell)
+        cfg = helper_grid("mc_logit")
+        run_grid(cfg)
+        here = threading.current_thread().name
+        ids = [c.scenario.id for c in expand_grid(cfg)]
+        assert [threads[i] == here for i in ids] == [True, False] * 6
+        assert all(threads[i].startswith("balint-cells") for i in ids[1::2])
+        # one n_mc set per thread, kept from cell to cell: two in all
+        assert len(solver_sets) == 2
 
-        # run_grid calls intercept.prefetch by the name harness imported
-        monkeypatch.setattr(harness_mod, "prefetch", prefetch_with_the_first_cells_stream)
-        taken = _record_takes(monkeypatch)
-        assert _csv(run_grid(cfg)) == expected
-        # the fourth cell's key differs from its request's, so it draws on
-        # request, and that request stays ahead of every later cell's
-        assert taken == [True] * 3 + [False] * 9
-        _assert_two_sets_and_no_helper()
+    @pytest.mark.parametrize(
+        "axes, cells",
+        [
+            (dict(covariate_axis=(("z", Normal(0.0, 1.0)),), beta2_axis=(1.0,), target_axis=(0.5,)), 1),
+            (dict(beta2_axis=(1.0,), target_axis=(0.3,)), 3),
+        ],
+        ids=["one_cell", "three_cells"],
+    )
+    def test_a_grid_of_one_or_an_odd_count_of_cells_keeps_its_bytes(self, axes, cells):
+        cfg = helper_grid("mc_logit", **axes)
+        before = threading.active_count()
+        rows = run_grid(cfg)
+        assert len(rows) == cells
+        assert _csv(rows) == _each_cell_alone(cfg)
+        assert threading.active_count() == before
 
-    def test_a_draw_that_raises_on_the_helper_is_drawn_again_on_request(self, monkeypatch):
-        cfg = draw_ahead_grid("mc_logit")
-        expected = _csv(run_grid(cfg))
-        draw_terms = intercept_mod.draw_terms
-        failed = []
-
-        def failing_off_the_main_thread(*args):
-            if threading.current_thread() is not threading.main_thread():
-                failed.append(1)
-                raise RuntimeError("draw failed on the helper")
-            return draw_terms(*args)
-
-        monkeypatch.setattr(intercept_mod, "draw_terms", failing_off_the_main_thread)
-        assert _csv(run_grid(cfg)) == expected
-        assert len(failed) == 12
+    def test_a_skipped_cauchy_cell_on_the_helper_keeps_its_row(self, monkeypatch):
+        cfg = helper_grid("mc_identity_cauchy")
+        alone = [harness_mod._run_cell(c) for c in expand_grid(cfg)]
+        threads = _record_threads(monkeypatch)
+        rows = run_grid(cfg)
+        here = threading.current_thread().name
+        cauchy = [k for k, r in enumerate(rows) if "cauchy" in r.scenario_id]
+        on_helper = [k for k in cauchy if threads[rows[k].scenario_id] != here]
+        assert cauchy == [4, 5, 6, 7] and on_helper == [5, 7]
+        assert rows[5].status == "skipped" and rows[5].warnings == ("undefined_mean",)
+        assert rows == alone
 
     def test_two_grids_at_once_under_a_short_switch_interval_keep_their_bits(self):
         import sys
 
-        cfgs = [draw_ahead_grid(name) for name in ("mc_logit", "mc_identity_cauchy")]
-        expected = [_csv([harness_mod._run_cell(c) for c in expand_grid(cfg)]) for cfg in cfgs]
+        cfgs = [helper_grid(name) for name in ("mc_logit", "mc_identity_cauchy")]
+        expected = [_each_cell_alone(cfg) for cfg in cfgs]
         got = [None] * len(cfgs)
         start = threading.Barrier(len(cfgs), timeout=60)
 
@@ -507,37 +505,42 @@ class TestDrawAhead:
         assert not any(t.is_alive() for t in threads)
         assert got == expected
 
-    def test_no_thread_outlives_run_grid(self, monkeypatch):
-        cfg = draw_ahead_grid("mc_logit")
+    @pytest.mark.parametrize("on_helper", [False, True], ids=["here", "on_helper"])
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_no_thread_outlives_run_grid(self, monkeypatch, error, on_helper):
+        cfg = helper_grid("mc_logit", target_axis=(0.2, 0.4, 0.6, 0.8))
         before = threading.active_count()
         run_grid(cfg)
         assert threading.active_count() == before
 
         run_scenario = harness_mod.run_scenario
-        cells = []
+        ids = [c.scenario.id for c in expand_grid(cfg)]
+        failing = ids[3] if on_helper else ids[2]  # the second cell of its thread
+        cells, failed_on = [], []
 
-        def failing_third_cell(s):
+        def failing_cell(s):
             cells.append(s.id)
-            if len(cells) == 3:
-                helpers = [t for t in threading.enumerate() if t.name.startswith("balint-draw-ahead")]
-                assert len(helpers) == 1
-                raise RuntimeError("not a balint Error")
+            if s.id == failing:
+                failed_on.append(threading.current_thread() is not threading.main_thread())
+                raise error("not a balint Error")
             return run_scenario(s)
 
-        monkeypatch.setattr(harness_mod, "run_scenario", failing_third_cell)
-        with pytest.raises(RuntimeError, match="not a balint Error"):
+        monkeypatch.setattr(harness_mod, "run_scenario", failing_cell)
+        with pytest.raises(error, match="not a balint Error"):
             run_grid(cfg)
+        assert failed_on == [on_helper]
         assert threading.active_count() == before
-        ws = expectation_mod.WORKSPACE
-        assert ws.helper is None and ws.ahead is None
+        # neither thread ran all its cells: the helper's queued ones were cancelled
+        assert len(ids) == 24
+        assert not set(ids[::2]) <= set(cells) and not set(ids[1::2]) <= set(cells)
 
-    def test_a_grid_that_draws_nothing_ahead_starts_no_thread(self, monkeypatch):
+    def test_a_grid_that_solves_no_monte_carlo_cell_starts_no_thread(self, monkeypatch):
         def no_executor(*args, **kwargs):
             raise AssertionError("a closed-form grid must not start a helper")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_executor)
         # exact enumeration draws nothing, and a closed form takes no engine
-        assert [r.status for r in run_grid(draw_ahead_grid("exact_logit"))] == ["ok"] * 6
+        assert [r.status for r in run_grid(helper_grid("exact_logit"))] == ["ok"] * 6
         assert [r.status for r in run_grid(small_grid(engine=MonteCarlo(4000)))] == ["ok"] * 8
 
 
