@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override the number of worker processes (0 = one per usable CPU); "
-        "a one-process Monte Carlo grid also runs every other cell on one helper thread",
+        "a one-process Monte Carlo grid also solves every other cell on one helper thread",
     )
     p_sim.set_defaults(func=cmd_simulate)
     return parser

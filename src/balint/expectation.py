@@ -67,8 +67,8 @@ class Workspace(threading.local):
     (datagen.generate's work). A process running a Monte Carlo grid keeps
     three n_mc arrays resident per thread that has solved, 2.4 MB at the
     default n_mc of 100,000, below the five n_mc arrays a solve used to hold
-    at once; run_grid's helper thread, which runs every other cell of such a
-    grid, holds the second set until the grid ends. One running replicates
+    at once; run_grid's helper thread, which solves every other cell of such
+    a grid, holds the second set until the grid ends. One running replicates
     keeps three n arrays, 240 KB at n = 10,000. Allocated per use, arrays of
     this size go back to the OS when freed (glibc unmaps them or trims the
     heap top), so the next use faults every page in again: about 1,650 minor

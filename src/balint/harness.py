@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import math
 import os
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .intercept import (
     DgpSpec,
     Engine,
     ExactEnumeration,
+    InterceptSolution,
     MonteCarlo,
     OutcomeFamily,
     SOLVER_NAMES,
@@ -117,12 +117,18 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     owns substream (master_seed, id hash, 0). Every replicate is generated
     in the same three n-sized arrays, borrowed from REPLICATE_WORKSPACE.
     """
-    ss = s.stream
+    return _replicate(s, _solve(s))
+
+
+def _solve(s: Scenario) -> InterceptSolution:
     try:
-        sol = solve(s.dgp, s.solver, engine=s.engine, tol=s.tol, rng=ss.child(0))
+        return solve(s.dgp, s.solver, engine=s.engine, tol=s.tol, rng=s.stream.child(0))
     except Error as e:
         raise type(e)(f"scenario {s.id}: {e}") from None
-    rep_base = ss.child(1)
+
+
+def _replicate(s: Scenario, sol: InterceptSolution) -> ScenarioResult:
+    rep_base = s.stream.child(1)
     means = np.empty(s.replicates)
     clamped = 0
     with REPLICATE_WORKSPACE.borrow(s.n) as work:
@@ -251,6 +257,10 @@ def expand_grid(cfg: GridConfig) -> list[GridCell]:
 
 
 def _run_cell(cell: GridCell) -> GridRow:
+    return _cell_row(cell, functools.partial(run_scenario, cell.scenario))
+
+
+def _cell_row(cell: GridCell, result: Callable[[], ScenarioResult]) -> GridRow:
     s = cell.scenario
     row = functools.partial(
         GridRow,
@@ -268,7 +278,7 @@ def _run_cell(cell: GridCell) -> GridRow:
     unfinished = dict.fromkeys(("beta0", "achieved_mean", "bias", "bias_se", "clamp_rate"))
     # a cell whose balanced moment does not exist has no intercept; recorded, not dropped
     try:
-        r = run_scenario(s)
+        r = result()
     except MgfDomainError:
         return row(**unfinished, status="skipped", warnings=("divergent_exp_moment",))
     except UndefinedMomentError:
@@ -302,12 +312,13 @@ def run_grid(cfg: GridConfig) -> list[GridRow]:
     each cell's streams depend only on (master_seed, scenario id) and
     aggregation follows the presorted cell order. In one process the cells
     run in order, except in a grid that solves numerically with the Monte
-    Carlo engine: there one helper thread runs the odd-indexed cells while
-    this thread runs the even ones, so that one cell's solve overlaps
-    another's. Each thread solves and generates in its own Workspace sets,
-    so the bits are those of the cells run one by one. The helper's queued
-    cells are cancelled, and the helper joined, before run_grid returns or
-    raises.
+    Carlo engine: there one helper thread solves the odd-indexed cells, in
+    order, while this thread solves the even ones and runs every cell's
+    replicates, so that a solve overlaps another solve or a replicate loop.
+    (Two threads that both generate replicates are slower than one.) Each
+    thread solves in its own Workspace set, so the bits are those of the
+    cells run one by one. The helper's queued solves are cancelled, and the
+    helper joined, before run_grid returns or raises.
     """
     cells = expand_grid(cfg)
     w = min(cfg.workers or _usable_cpus(), len(cells))
@@ -325,15 +336,15 @@ def run_grid(cfg: GridConfig) -> list[GridRow]:
 
     helper = ThreadPoolExecutor(1, thread_name_prefix="balint-cells")
     try:
-        odd = helper.map(_run_cell, cells[1::2])
-        rows = []
-        for cell in cells[::2]:
-            rows.append(_run_cell(cell))
-            # the helper's next row, waited for here so that its failure ends the grid
-            rows.extend(itertools.islice(odd, 1))
-        return rows
+        solved = {k: helper.submit(_solve, cells[k].scenario) for k in range(1, len(cells), 2)}
+        return [
+            _cell_row(cell, lambda: _replicate(cell.scenario, solved[k].result()))
+            if k in solved
+            else _run_cell(cell)
+            for k, cell in enumerate(cells)
+        ]
     finally:
-        # not a with block, whose exit would run every queued cell first
+        # not a with block, whose exit would run every queued solve first
         helper.shutdown(cancel_futures=True)
 
 

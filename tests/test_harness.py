@@ -367,8 +367,8 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
-# Numeric grids whose serial run hands every other cell to a helper thread
-# when they use the Monte Carlo engine; the exact one runs on this thread.
+# Numeric grids whose serial run hands every other cell's solve to a helper
+# thread when they use the Monte Carlo engine; the exact one runs on this thread.
 HELPER_GRIDS = {
     "mc_logit": dict(
         link=Logit(),
@@ -384,6 +384,23 @@ HELPER_GRIDS = {
             ("z", Cauchy(0.0, 1.0)),
             ("z", UniformContinuous(-1.0, 3.0)),
         ),
+        engine=MonteCarlo(4000),
+    ),
+    # one cell, and an odd count of cells: the helper has none, or one fewer
+    "mc_logit_one_cell": dict(
+        link=Logit(),
+        outcome=BernoulliOutcome(),
+        covariate_axis=(("z", Normal(0.0, 1.0)),),
+        beta2_axis=(1.0,),
+        target_axis=(0.5,),
+        engine=MonteCarlo(4000),
+    ),
+    "mc_logit_three_cells": dict(
+        link=Logit(),
+        outcome=BernoulliOutcome(),
+        covariate_axis=(("z", Bernoulli(0.8)), ("z", Normal(0.0, 1.0)), ("z", Gamma(1.0, 1.5))),
+        beta2_axis=(1.0,),
+        target_axis=(0.3,),
         engine=MonteCarlo(4000),
     ),
     "exact_logit": dict(
@@ -405,16 +422,21 @@ def _each_cell_alone(cfg) -> str:
 
 
 def _record_threads(monkeypatch):
-    """The dict that each run_scenario call enters {scenario id: thread name} into."""
-    threads = {}
-    run_scenario = harness_mod.run_scenario
+    """{scenario id: thread name} for each _solve call, and each _replicate call."""
+    solved, replicated = {}, {}
+    solve, replicate = harness_mod._solve, harness_mod._replicate
 
-    def recording(s):
-        threads[s.id] = threading.current_thread().name
-        return run_scenario(s)
+    def recording_solve(s):
+        solved[s.id] = threading.current_thread().name
+        return solve(s)
 
-    monkeypatch.setattr(harness_mod, "run_scenario", recording)
-    return threads
+    def recording_replicate(s, sol):
+        replicated[s.id] = threading.current_thread().name
+        return replicate(s, sol)
+
+    monkeypatch.setattr(harness_mod, "_solve", recording_solve)
+    monkeypatch.setattr(harness_mod, "_replicate", recording_replicate)
+    return solved, replicated
 
 
 class TestHelperCells:
@@ -431,53 +453,38 @@ class TestHelperCells:
         assert statuses.count("skipped") == (4 if "cauchy" in name else 0)
         assert "error" not in statuses
 
-    def test_even_cells_run_here_and_odd_cells_on_the_helper(self, monkeypatch):
-        threads = _record_threads(monkeypatch)
+    def test_odd_cells_solve_on_the_helper_and_every_replicate_runs_here(self, monkeypatch):
+        solved, replicated = _record_threads(monkeypatch)
         solver_sets = set()
-        run_cell = harness_mod._run_cell
+        solve = harness_mod._solve
 
-        def recording_run_cell(cell):
-            row = run_cell(cell)
+        def recording_sets(s):
+            sol = solve(s)
             solver_sets.add(tuple(id(a) for a in expectation_mod.WORKSPACE.arrays))
-            return row
+            return sol
 
-        monkeypatch.setattr(harness_mod, "_run_cell", recording_run_cell)
+        monkeypatch.setattr(harness_mod, "_solve", recording_sets)
         cfg = helper_grid("mc_logit")
+        before = threading.active_count()
         run_grid(cfg)
+        assert threading.active_count() == before
         here = threading.current_thread().name
         ids = [c.scenario.id for c in expand_grid(cfg)]
-        assert [threads[i] == here for i in ids] == [True, False] * 6
-        assert all(threads[i].startswith("balint-cells") for i in ids[1::2])
-        # one n_mc set per thread, kept from cell to cell: two in all
+        assert [solved[i] == here for i in ids] == [True, False] * 6
+        assert all(solved[i].startswith("balint-cells") for i in ids[1::2])
+        assert [replicated[i] for i in ids] == [here] * 12
+        # one n_mc set per thread, kept from solve to solve: two in all
         assert len(solver_sets) == 2
 
-    @pytest.mark.parametrize(
-        "axes, cells",
-        [
-            (dict(covariate_axis=(("z", Normal(0.0, 1.0)),), beta2_axis=(1.0,), target_axis=(0.5,)), 1),
-            (dict(beta2_axis=(1.0,), target_axis=(0.3,)), 3),
-        ],
-        ids=["one_cell", "three_cells"],
-    )
-    def test_a_grid_of_one_or_an_odd_count_of_cells_keeps_its_bytes(self, axes, cells):
-        cfg = helper_grid("mc_logit", **axes)
-        before = threading.active_count()
-        rows = run_grid(cfg)
-        assert len(rows) == cells
-        assert _csv(rows) == _each_cell_alone(cfg)
-        assert threading.active_count() == before
-
-    def test_a_skipped_cauchy_cell_on_the_helper_keeps_its_row(self, monkeypatch):
-        cfg = helper_grid("mc_identity_cauchy")
-        alone = [harness_mod._run_cell(c) for c in expand_grid(cfg)]
-        threads = _record_threads(monkeypatch)
-        rows = run_grid(cfg)
-        here = threading.current_thread().name
+        # a Cauchy cell solved on the helper is skipped there, and has no replicates
+        solved.clear()
+        replicated.clear()
+        rows = run_grid(helper_grid("mc_identity_cauchy"))
         cauchy = [k for k, r in enumerate(rows) if "cauchy" in r.scenario_id]
-        on_helper = [k for k in cauchy if threads[rows[k].scenario_id] != here]
-        assert cauchy == [4, 5, 6, 7] and on_helper == [5, 7]
+        assert cauchy == [4, 5, 6, 7]
+        assert [solved[rows[k].scenario_id] == here for k in cauchy] == [True, False] * 2
         assert rows[5].status == "skipped" and rows[5].warnings == ("undefined_mean",)
-        assert rows == alone
+        assert not {rows[k].scenario_id for k in cauchy} & set(replicated)
 
     def test_two_grids_at_once_under_a_short_switch_interval_keep_their_bits(self):
         import sys
@@ -513,26 +520,41 @@ class TestHelperCells:
         run_grid(cfg)
         assert threading.active_count() == before
 
-        run_scenario = harness_mod.run_scenario
+        solve = harness_mod._solve
         ids = [c.scenario.id for c in expand_grid(cfg)]
-        failing = ids[3] if on_helper else ids[2]  # the second cell of its thread
-        cells, failed_on = [], []
+        failing = ids[3] if on_helper else ids[2]  # the second solve of its thread
+        solved, failed_on = [], []
+        # the helper's solves after its first wait until run_grid has cancelled
+        # the queued ones, and the cancel waits until one of them has started
+        held, cancelled = threading.Event(), threading.Event()
 
-        def failing_cell(s):
-            cells.append(s.id)
+        def failing_solve(s):
+            solved.append(s.id)
             if s.id == failing:
                 failed_on.append(threading.current_thread() is not threading.main_thread())
                 raise error("not a balint Error")
-            return run_scenario(s)
+            if threading.current_thread() is not threading.main_thread() and s.id != ids[1]:
+                held.set()
+                assert cancelled.wait(timeout=60)
+            return solve(s)
 
-        monkeypatch.setattr(harness_mod, "run_scenario", failing_cell)
+        shutdown = concurrent.futures.ThreadPoolExecutor.shutdown
+
+        def cancel_then_join(self, wait=True, *, cancel_futures=False):
+            assert held.wait(timeout=60)
+            shutdown(self, wait=False, cancel_futures=cancel_futures)
+            cancelled.set()
+            shutdown(self, wait=wait)
+
+        monkeypatch.setattr(harness_mod, "_solve", failing_solve)
+        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "shutdown", cancel_then_join)
         with pytest.raises(error, match="not a balint Error"):
             run_grid(cfg)
         assert failed_on == [on_helper]
         assert threading.active_count() == before
-        # neither thread ran all its cells: the helper's queued ones were cancelled
+        # the helper's one running solve ended; every queued one was cancelled
+        assert sorted(solved) == sorted(ids[:4] + ids[5:6] if on_helper else ids[:4])
         assert len(ids) == 24
-        assert not set(ids[::2]) <= set(cells) and not set(ids[1::2]) <= set(cells)
 
     def test_a_grid_that_solves_no_monte_carlo_cell_starts_no_thread(self, monkeypatch):
         def no_executor(*args, **kwargs):
