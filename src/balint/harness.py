@@ -256,11 +256,8 @@ def expand_grid(cfg: GridConfig) -> list[GridCell]:
     return cells
 
 
-def _run_cell(cell: GridCell) -> GridRow:
-    return _cell_row(cell, functools.partial(run_scenario, cell.scenario))
-
-
-def _cell_row(cell: GridCell, result: Callable[[], ScenarioResult]) -> GridRow:
+def _run_cell(cell: GridCell, solution: Optional[Callable[[], InterceptSolution]] = None) -> GridRow:
+    """The cell's row: run_scenario's result, or the replicates of what solution() returns."""
     s = cell.scenario
     row = functools.partial(
         GridRow,
@@ -278,7 +275,7 @@ def _cell_row(cell: GridCell, result: Callable[[], ScenarioResult]) -> GridRow:
     unfinished = dict.fromkeys(("beta0", "achieved_mean", "bias", "bias_se", "clamp_rate"))
     # a cell whose balanced moment does not exist has no intercept; recorded, not dropped
     try:
-        r = result()
+        r = run_scenario(s) if solution is None else _replicate(s, solution())
     except MgfDomainError:
         return row(**unfinished, status="skipped", warnings=("divergent_exp_moment",))
     except UndefinedMomentError:
@@ -336,13 +333,8 @@ def run_grid(cfg: GridConfig) -> list[GridRow]:
 
     helper = ThreadPoolExecutor(1, thread_name_prefix="balint-cells")
     try:
-        solved = {k: helper.submit(_solve, cells[k].scenario) for k in range(1, len(cells), 2)}
-        return [
-            _cell_row(cell, lambda: _replicate(cell.scenario, solved[k].result()))
-            if k in solved
-            else _run_cell(cell)
-            for k, cell in enumerate(cells)
-        ]
+        solved = {k: helper.submit(_solve, cells[k].scenario).result for k in range(1, len(cells), 2)}
+        return [_run_cell(cell, solved.get(k)) for k, cell in enumerate(cells)]
     finally:
         # not a with block, whose exit would run every queued solve first
         helper.shutdown(cancel_futures=True)

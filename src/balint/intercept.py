@@ -190,10 +190,25 @@ class Term:
             return np.take(self._level_eta, values, out=out, mode="clip")
         return np.multiply(self.beta, values, out=out)
 
+    @cached_property
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """A finite spec's support as (this term's share of eta, probability), in support order.
+
+        Points of probability 0 are left out: such a point adds nothing to a
+        mean or a moment, and its share may overflow to make it 0 * inf.
+        """
+        if not hasattr(self.spec, "support"):
+            raise EngineMismatchError(
+                f"term '{self.name}' ({self.spec.kind}) is continuous; exact enumeration "
+                "needs finite supports"
+            )
+        values, pr = self.spec.support()
+        return self.eta(values[pr > 0.0]), pr[pr > 0.0]
+
     def mean(self) -> float:
         """E[beta' X]; raises, naming the term, where the mean does not exist."""
         if isinstance(self.spec, Categorical):
-            return float(sum(p * e for p, e in zip(self.spec.probs, self._level_eta)))
+            return float(sum(p * e for e, p in zip(*self.points)))
         try:
             return self.beta * self.spec.mean()
         except UndefinedMomentError as e:
@@ -202,13 +217,12 @@ class Term:
     def exp_moment(self, scale: float = 1.0) -> float:
         """E[exp(scale * beta' X)], inf where it overflows a double and 0.0 where it underflows.
 
-        A level of probability 0 adds nothing, however large its exp. Raises,
-        naming the term, where no moment exists.
+        Raises, naming the term, where no moment exists.
         """
         try:
             if isinstance(self.spec, Categorical):
-                levels = zip(self.spec.probs, self._level_eta.tolist())
-                return float(sum(p * math.exp(scale * e) for p, e in levels if p > 0.0))
+                etas, probs = (a.tolist() for a in self.points)
+                return float(sum(p * math.exp(scale * e) for e, p in zip(etas, probs)))
             return self.spec.mgf(scale * self.beta)
         except MgfDomainError as e:
             raise MgfDomainError(f"term '{self.name}': {e}") from None
@@ -288,22 +302,14 @@ class ExactEnumeration:
 
     @contextmanager
     def expectation(self, dgp: DgpSpec, rng: Optional[RngStream]) -> Iterator[Enumerated]:
-        """The mean over every attainable value of eta - beta0, but none of probability 0.
+        """The mean over every attainable value of eta - beta0, from each term's points.
 
-        Such a point adds nothing to a mean, and its g^-1 may overflow to make
-        it 0 * inf. rng is not used.
+        rng is not used.
         """
         etas = np.zeros(1)
         probs = np.ones(1)
         for term in dgp.terms:
-            if not hasattr(term.spec, "support"):
-                raise EngineMismatchError(
-                    f"term '{term.name}' ({term.spec.kind}) is continuous; exact enumeration "
-                    "needs finite supports"
-                )
-            levels, pr = term.spec.support()
-            levels, pr = levels[pr > 0.0], pr[pr > 0.0]
-            contrib = term.eta(levels)
+            contrib, pr = term.points
             if etas.size * contrib.size > MAX_ENUM_SUPPORT:
                 raise EngineMismatchError(
                     f"combined covariate support exceeds {MAX_ENUM_SUPPORT} points"
