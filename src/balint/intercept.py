@@ -180,7 +180,10 @@ class Term:
     @cached_property
     def _level_eta(self) -> np.ndarray:
         """A categorical's contribution per level, rows() @ betas, built once per term."""
-        return self.spec.rows() @ self.betas
+        # a share may overflow: points leaves out a level of probability 0, and
+        # any other level's inf reaches every mean and moment it is in
+        with np.errstate(over="ignore"):
+            return self.spec.rows() @ self.betas
 
     def eta(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """This term's share of the linear predictor at the given draws or support points."""

@@ -503,6 +503,25 @@ class TestZeroProbabilityPoints:
         assert sol.beta0 == pytest.approx(math.log(0.5), abs=1e-11)
 
 
+class TestZeroProbabilityLevelWhoseShareOverflows:
+    """Level 0 has probability 0, and its effect-coded share, -2e308, overflows to -inf.
+
+    A RuntimeWarning (the overflow, or 0 * inf) would fail the suite.
+    """
+
+    def term(self):
+        return Term("c", Categorical((0.0, 0.5, 0.5), "effect"), (1e308, 1e308))
+
+    def test_mean_and_exp_moment_leave_the_level_out(self):
+        term = self.term()
+        assert term.mean() == 1e308
+        assert term.exp_moment() == math.inf
+
+    def test_linear_scale_beta0_is_finite(self):
+        sol = solve_linear_scale(DgpSpec((self.term(),), Identity(), NormalOutcome(1.0), 0.3))
+        assert sol.beta0 == 0.3 - 1e308
+
+
 class TestExpectationOfMean:
     def test_no_covariates_identity(self):
         dgp = DgpSpec((), Identity(), NormalOutcome(1.0), 0.3)
