@@ -1,7 +1,8 @@
 """Command-line front end: solve | verify | simulate.
 
-Configs are YAML documents validated strictly: an unrecognized key anywhere is
-a hard error naming the key, so typos never silently fall back to defaults.
+Configs are YAML documents validated strictly: an unrecognized key anywhere, or
+a key written twice in one mapping, is a hard error naming the key, so typos
+never silently fall back to defaults or to another value.
 Command-line flags override file values. All randomness flows from the
 config's master_seed (or its --seed override); nothing is wall-clock seeded.
 
@@ -82,10 +83,42 @@ def _num_tuple(value, key: str, where: str) -> tuple[float, ...]:
     return tuple(_num(v, key, where) for v in value)
 
 
+class _Loader(yaml.SafeLoader):
+    """safe_load's loader, except that a key written twice in one mapping is a YAMLError.
+
+    Only the keys written out are compared, before any merge key (<<) is
+    expanded, so a mapping may still override a key it merges in.
+    """
+
+    def construct_document(self, node):
+        self._refuse_repeated_keys(node, set())
+        return super().construct_document(node)
+
+    def _refuse_repeated_keys(self, node, seen: set) -> None:
+        if id(node) in seen:  # an alias, checked where its anchor is
+            return
+        seen.add(id(node))
+        if isinstance(node, yaml.SequenceNode):
+            for item in node.value:
+                self._refuse_repeated_keys(item, seen)
+        elif isinstance(node, yaml.MappingNode):
+            lines = {}
+            for key, value in node.value:
+                if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                    if (key.tag, key.value) in lines:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            f"found key '{key.value}' again (first on line {lines[key.tag, key.value]})",
+                            key.start_mark,
+                        )
+                    lines[key.tag, key.value] = key.start_mark.line + 1
+                self._refuse_repeated_keys(value, seen)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "rb") as f:  # yaml decodes, so a bad byte is a YAMLError
-            doc = yaml.safe_load(f)
+            doc = yaml.load(f, Loader=_Loader)
     except yaml.YAMLError as e:
         raise ConfigError(f"cannot parse {path}: {e}") from None
     if not isinstance(doc, dict):

@@ -135,6 +135,31 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="mapping"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "doc, key, line",
+        [
+            (DGP_DOC + "target_mean: 0.9\n", "target_mean", 8),
+            (DGP_DOC.replace("-0.2]}", "-0.2], betas: [1.0, 2.0]}"), "betas", 5),
+            (GRID_DOC.replace("-0.2]}", "-0.2], probs: [0.2, 0.8]}"), "probs", 4),
+        ],
+        ids=["top_level", "covariate", "grid_exposure"],
+    )
+    def test_repeated_key_named_with_its_line(self, tmp_path, doc, key, line):
+        # yaml.safe_load would keep the last value without a word
+        path = tmp_path / "twice.yaml"
+        path.write_text(doc)
+        with pytest.raises(ConfigError, match=rf"found key '{key}' again[^\n]*\n.*line {line},"):
+            load_config(str(path))
+        out = ["--out", str(tmp_path / "rows.csv")] if "covariate_axis" in doc else []
+        assert main(["simulate" if out else "solve", "--config", str(path), *out]) == 1
+
+    def test_merge_key_and_its_override_load_as_safe_load_does(self, tmp_path):
+        doc = "a: &a {x: 1, y: 2}\nb:\n  <<: *a\n  x: 3\nc: {<<: [*a, {z: 4}], y: 5}\n"
+        path = tmp_path / "merge.yaml"
+        path.write_text(doc)
+        assert load_config(str(path)) == yaml.safe_load(doc)
+        assert load_config(str(path))["b"] == {"x": 3, "y": 2}
+
 
 class TestParseDgpConfig:
     def test_minimal(self):
