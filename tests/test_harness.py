@@ -333,6 +333,14 @@ class TestRunGrid:
         assert sizes == ([expected] if expected > 1 else [])
         assert rows == run_grid(dataclasses.replace(cfg, workers=1))
 
+    @pytest.mark.parametrize("cpu_count,expected", [(None, 1), (3, 3)])
+    def test_usable_cpus_without_an_affinity_call(self, monkeypatch, cpu_count, expected):
+        # where os has no sched_getaffinity (macOS, Windows), the host's count
+        # stands in, and one CPU where even that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert harness_mod._usable_cpus() == expected
+
     def test_single_cell_grid_runs_in_process(self, monkeypatch):
         def no_pool(max_workers):
             raise AssertionError("a one-cell grid must not start a pool")
