@@ -21,7 +21,7 @@ scale's residual and for verification, where the link has them (identity, log).
 
 The numeric route's engine owns its name, its default tol and
 expectation(dgp, rng), a context manager yielding b0 -> E[g^-1(b0 + eta)]:
-ExactEnumeration enumerates finite covariate supports, and MonteCarlo
+ExactEnumeration enumerates every term's points (Term.points), and MonteCarlo
 freezes independent per-term draws once per solve (common random numbers),
 making the objective deterministic and monotone within that solve. Nothing
 branches on the engine's type; its dataclass fields are its config keys.
@@ -198,7 +198,8 @@ class Term:
         """A finite spec's support as (this term's share of eta, probability), in support order.
 
         Points of probability 0 are left out: such a point adds nothing to a
-        mean or a moment, and its share may overflow to make it 0 * inf.
+        mean or a moment, and its share may overflow to make it 0 * inf. Built
+        once per term and shared by every caller, so both arrays are read-only.
         """
         if not hasattr(self.spec, "support"):
             raise EngineMismatchError(
@@ -206,12 +207,16 @@ class Term:
                 "needs finite supports"
             )
         values, pr = self.spec.support()
-        return self.eta(values[pr > 0.0]), pr[pr > 0.0]
+        points = self.eta(values[pr > 0.0]), pr[pr > 0.0]
+        for a in points:
+            a.flags.writeable = False
+        return points
 
     def mean(self) -> float:
         """E[beta' X]; raises, naming the term, where the mean does not exist."""
         if isinstance(self.spec, Categorical):
-            return float(sum(p * e for e, p in zip(*self.points)))
+            etas, probs = self.points
+            return float(sum(p * e for e, p in zip(etas.tolist(), probs.tolist())))
         try:
             return self.beta * self.spec.mean()
         except UndefinedMomentError as e:
@@ -224,8 +229,8 @@ class Term:
         """
         try:
             if isinstance(self.spec, Categorical):
-                etas, probs = (a.tolist() for a in self.points)
-                return float(sum(p * math.exp(scale * e) for e, p in zip(etas, probs)))
+                etas, probs = self.points
+                return float(sum(p * math.exp(scale * e) for e, p in zip(etas.tolist(), probs.tolist())))
             return self.spec.mgf(scale * self.beta)
         except MgfDomainError as e:
             raise MgfDomainError(f"term '{self.name}': {e}") from None
