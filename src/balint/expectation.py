@@ -8,14 +8,17 @@ with Monte Carlo most answers are plain long before the end. So FrozenDraws
 also bounds its exact mean from below and above, on any input, from runs of
 its draws sorted once per solve by their float32 keys (about 0.4-0.5 ms for
 100k draws, against about 0.9 ms for a sort of the doubles), at two levels:
-about 64 coarse runs (about 30 us) and at most HIST_BINS fine ones (about
-80 us), against about 0.6 ms for a full 100k-draw pass (2-vCPU Xeon VM,
-numpy 2.4.6). Residual takes a step's answer from the coarse bounds when
-both give the same one, from the fine bounds when those do, and runs the
-full pass only when neither does. This is the floating-point filter of
-exact geometric predicates (Shewchuk 1997, Discrete Comput. Geom.
-18:305-363). Every value a solve keeps comes from a full pass, so its result
-is the same to the bit as without the filter.
+about 64 coarse runs (about 5 us) and at most HIST_BINS fine ones (about
+25 us), against about 0.5 ms for a full 100k-draw pass (2-vCPU Xeon VM,
+numpy 2.4.6). The link sums g^-1 over a level's run ends
+(Link.weighted_sums). The logit link uses its tanh form, four numpy calls
+in all, where an inverse of seven passes and five reductions would cost
+more, mostly in numpy's per-call overhead. Residual takes a step's answer
+from the coarse bounds when both give the same one, from the fine bounds
+when those do, and runs the full pass only when neither does. This is the
+floating-point filter of exact geometric predicates (Shewchuk 1997,
+Discrete Comput. Geom. 18:305-363). Every value a solve keeps comes from a
+full pass, so its result is the same to the bit as without the filter.
 
 A Monte Carlo solve works in three n_mc-sized float64 arrays: the frozen
 eta, g^-1(b0 + eta), and one scratch, whose first half first holds the
@@ -102,6 +105,15 @@ class Workspace(threading.local):
 WORKSPACE = Workspace()
 
 
+def _run_ends(lower: np.ndarray, upper: np.ndarray, run: int) -> np.ndarray:
+    """[first of lower, last of upper] in each run of run entries, the last run short: (2, runs)."""
+    ends = np.empty((2, -(-lower.size // run)), lower.dtype)
+    ends[0] = lower[::run]
+    ends[1, : lower.size // run] = upper[run - 1 :: run]
+    ends[1, -1] = upper[-1]
+    return ends
+
+
 class FrozenDraws:
     """E[g^-1(b0 + eta)] over a fixed eta sample: an exact pass and cheap intervals.
 
@@ -164,21 +176,25 @@ class FrozenDraws:
         with np.errstate(over="ignore"):
             np.copyto(keys, self.eta, casting="same_kind")
         keys.sort()
-        first = np.arange(0, n, -(-n // HIST_BINS))
-        ends = keys[np.stack([first, np.append(first[1:], n) - 1])]
+        run = -(-n // HIST_BINS)
+        ends = _run_ends(keys, keys, run)
+        counts = np.full(ends.shape[1], run)
+        counts[-1] = n - run * (counts.size - 1)
         # a run whose keys all equal the previous run's joins it
-        keep = np.append(True, ends[0, :-1] != ends[1, 1:])
-        first, ends = first[keep], ends.compress(keep, axis=1)
+        joins = ends[0, :-1] == ends[1, 1:]
+        if joins.any():
+            first = np.flatnonzero(np.append(True, ~joins))
+            ends, counts = ends[:, first], np.add.reduceat(counts, first)
         with np.errstate(over="ignore"):
-            edges = np.stack([np.nextafter(ends[0], -np.inf), np.nextafter(ends[1], np.inf)])
-        edges = edges.astype(float)
-        counts = np.diff(np.append(first, n))
+            np.nextafter(ends[0], -np.inf, out=ends[0])
+            np.nextafter(ends[1], np.inf, out=ends[1])
+        edges = ends.astype(float)
         fine = edges, counts / n, np.empty_like(edges)
-        if first.size <= 2 * COARSE_RUNS:
+        if counts.size <= 2 * COARSE_RUNS:
             return (fine,)
-        starts = np.arange(0, first.size, COARSE_RUNS)
-        edges = np.stack([edges[0, starts], edges[1, np.append(starts[1:], first.size) - 1]])
-        return (edges, np.add.reduceat(counts, starts) / n, np.empty_like(edges)), fine
+        edges = _run_ends(edges[0], edges[1], COARSE_RUNS)
+        counts = np.add.reduceat(counts, np.arange(0, counts.size, COARSE_RUNS))
+        return (edges, counts / n, np.empty_like(edges)), fine
 
     @property
     def depth(self) -> int:
@@ -189,12 +205,14 @@ class FrozenDraws:
         """(lo, hi) with lo <= mean(b0) <= hi on any input, from one level of runs (default the finest).
 
         It costs g^-1 at the two ends of each of the level's runs, at most
-        HIST_BINS (the draws sorted once, on the first call), not at n_mc draws:
+        HIST_BINS (the draws sorted once, on the first call), not at n_mc
+        draws, summed by link.weighted_sums:
             lo = sum_k p_k g^-1(fl(lower_k + b0))
             hi = sum_k p_k g^-1(fl(upper_k + b0))
-        each widened by INTERVAL_MARGIN * max(1, size), where
-            size = sum_k p_k max(|g^-1(fl(lower_k + b0))|, |g^-1(fl(upper_k + b0))|)
-        bounds the summed magnitudes of both the interval and the exact pass.
+        each widened by INTERVAL_MARGIN * max(1, size), where size bounds
+            sum_k p_k max(|g^-1(fl(lower_k + b0))|, |g^-1(fl(upper_k + b0))|)
+        and with it the summed magnitudes of both the interval and the exact
+        pass: size is that sum under identity and log, and 1 under logit.
           1. Each draw e lies, exactly, between its run's ends. Its float32
              key fl32(e) is a nearest float32 (or +-inf past the float32
              range), so e lies between the float32 values on either side of
@@ -204,27 +222,29 @@ class FrozenDraws:
              run's last key).
           2. fl(e + b0) is monotone in e (rounding is monotone), so
              lower_k <= e gives fl(lower_k + b0) <= fl(e + b0), the argument
-             the exact pass inverts; likewise for upper_k. g^-1 is increasing,
-             and each link.invert result is within a few ulps of it.
-          3. What is left is rounding: those few ulps, p_k = count / n, and
-             the pairwise sums of the exact mean over n_mc terms and of the
-             interval over at most HIST_BINS, each off by about
-             (log2(n) + 20) u of the summed magnitudes, u = 2^-53. Together
-             that is below 1e-14 of size for any n_mc that fits in memory. A
-             g^-1 that underflows is off by at most 2^-1074 each, under the
-             margin's floor of 1e-9.
+             the exact pass inverts; likewise for upper_k. g^-1 is increasing.
+             The exact pass's link.invert is within a few ulps of it, and so
+             is the logit sums' 1/2 + tanh(x / 2) / 2 (x / 2 is exact but
+             for a subnormal x, off by at most 2^-1075).
+          3. What is left is rounding, with u = 2^-53: those few ulps;
+             p_k = count / n; the logit sums' taking sum_k p_k as exactly 1,
+             which the rounded p_k miss by at most about HIST_BINS u; the
+             pairwise sum of the exact mean over n_mc terms, off by about
+             (log2(n) + 20) u of the summed magnitudes; and the interval's
+             sums over at most HIST_BINS runs, off by at most HIST_BINS u of
+             them. Together that is below 1e-12 of size for any n_mc that
+             fits in memory. A g^-1 that underflows is off by at most
+             2^-1074 each, under the margin's floor of 1e-9.
         Where size is NaN, infinite, or above 2^1020 / n_mc, so that the exact
-        pass's sum could overflow, the interval is (-inf, inf), which decides
-        nothing. A NaN draw's key sorts last, so it makes size NaN.
+        pass's sum could overflow, or where a sum is NaN, the interval is
+        (-inf, inf), which decides nothing. A NaN draw's key sorts last, so
+        it makes the upper sum NaN, and under identity and log size too.
         """
         edges, p, mu = self.levels[level]
         np.add(edges, b0, out=mu)
-        self.link.invert(mu, out=mu)
-        mu *= p
-        size = float(np.maximum(abs(mu[0]), abs(mu[1])).sum())
-        if not size <= MAX_SUM / self.eta.size:
+        (lo, hi), size = self.link.weighted_sums(mu, p)
+        if not size <= MAX_SUM / self.eta.size or math.isnan(lo + hi):
             return -math.inf, math.inf
-        lo, hi = (float(v) for v in mu.sum(axis=1))
         margin = INTERVAL_MARGIN * max(1.0, size)
         return lo - margin, hi + margin
 

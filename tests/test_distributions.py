@@ -89,15 +89,37 @@ class TestRngStream:
     @example(master_seed=2**64 - 1, path=())
     @example(master_seed=0, path=(0,))
     @example(master_seed=2**32, path=(2**32 - 1, 2**32, 0))
+    @example(master_seed=2**63 + 5, path=(2**64 - 1, 3, 2**40 + 1))
     def test_generator_is_numpy_spawn_key_seeding(self, master_seed, path):
-        got = RngStream(master_seed, path).generator()
-        expected = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=path))
-        assert got.bit_generator.state == expected.bit_generator.state
-        assert got.random(3).tolist() == expected.random(3).tolist()
+        # through the constructor, and through child() from the root, which
+        # extends each parent's cached words
+        chained = RngStream(master_seed)
+        for i in path:
+            chained = chained.child(i)
+        assert chained == RngStream(master_seed, path)
+        for stream in (RngStream(master_seed, path), chained):
+            got = stream.generator()
+            expected = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=path))
+            assert got.bit_generator.state == expected.bit_generator.state
+            assert got.random(3).tolist() == expected.random(3).tolist()
+
+    @pytest.mark.parametrize("master_seed, path", [(0, ()), (2**40 + 7, ()), (11, (2**33, 4))])
+    def test_spawned_generators_are_numpy_spawns(self, master_seed, path):
+        got = RngStream(master_seed, path).generator().spawn(2)
+        expected = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=path)).spawn(2)
+        assert [g.random(4).tolist() for g in got] == [g.random(4).tolist() for g in expected]
 
     def test_float_seed_is_refused_as_numpy_refuses_it(self):
         with pytest.raises(TypeError):
             RngStream(3.0).generator()
+
+    def test_float_child_index_is_refused_as_numpy_refuses_it(self):
+        with pytest.raises(TypeError):
+            RngStream(0).child(2.7)
+        with pytest.raises(TypeError):
+            RngStream(0, (2.7,)).generator()
+        with pytest.raises(SpecError):
+            RngStream(0).child(2**64)
 
     def test_large_hash_sized_path_entries_work(self):
         v = RngStream(1, (2**64 - 1,)).generator().random(4)

@@ -209,7 +209,7 @@ def test_import_loads_no_multiprocessing_or_openssl():
     script = (
         "import sys, threading\n"
         "from balint import cli, harness\n"
-        "unwanted = ('multiprocessing', '_hashlib', 'concurrent.futures')\n"
+        "unwanted = ('multiprocessing', '_hashlib', 'concurrent.futures', 'numpy.random')\n"
         "print(sorted(m for m in unwanted if m in sys.modules), threading.active_count())\n"
     )
     env = {**os.environ, "PYTHONPATH": src}

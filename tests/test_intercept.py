@@ -1339,7 +1339,34 @@ _ANY_ETAS = st.one_of(
         st.lists(st.sampled_from([-math.inf, math.inf]), min_size=1, max_size=3),
     ),
     st.builds(np.full, st.integers(1, 10_000), st.floats(allow_nan=False, allow_infinity=False)),
+    # NaN draws, among ordinary and infinite ones: the exact mean is NaN
+    st.builds(
+        lambda finite, nan: np.random.default_rng(0).permutation(np.array(finite + nan)),
+        st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-math.inf, math.inf])), max_size=5000),
+        st.lists(st.just(math.nan), min_size=1, max_size=3),
+    ),
 )
+
+
+def _reference_levels(link, eta):
+    """FrozenDraws.levels as first written, from index arrays, stacks and a compress per level."""
+    n = eta.size
+    with np.errstate(over="ignore"):
+        keys = np.sort(eta.astype(np.float32))
+    first = np.arange(0, n, -(-n // expectation_mod.HIST_BINS))
+    ends = keys[np.stack([first, np.append(first[1:], n) - 1])]
+    keep = np.append(True, ends[0, :-1] != ends[1, 1:])
+    first, ends = first[keep], ends.compress(keep, axis=1)
+    with np.errstate(over="ignore"):
+        edges = np.stack([np.nextafter(ends[0], -np.inf), np.nextafter(ends[1], np.inf)])
+    edges = edges.astype(float)
+    counts = np.diff(np.append(first, n))
+    fine = edges, counts / n
+    if first.size <= 2 * expectation_mod.COARSE_RUNS:
+        return (fine,)
+    starts = np.arange(0, first.size, expectation_mod.COARSE_RUNS)
+    edges = np.stack([edges[0, starts], edges[1, np.append(starts[1:], first.size) - 1]])
+    return (edges, np.add.reduceat(counts, starts) / n), fine
 
 
 class TestFrozenDrawsInterval:
@@ -1356,7 +1383,7 @@ class TestFrozenDrawsInterval:
                 assert (lo, hi) == (-math.inf, math.inf)
             else:
                 assert lo <= mean <= hi
-        if isinstance(link, Logit):
+        if isinstance(link, Logit) and not math.isnan(mean):
             # sum_k p_k (g^-1(upper_k) - g^-1(lower_k)) over the keys telescopes
             # under a g^-1 bounded by [0, 1], and every p_k <= ceil(n / HIST_BINS) / n;
             # each end's float32 step out, of at most 2^-23 |eta|, adds at most
@@ -1366,6 +1393,15 @@ class TestFrozenDrawsInterval:
             widening = 2.0**-24 * float(np.abs(eta).max())
             lo, hi = bounds[-1]
             assert hi - lo <= step / eta.size + widening + 2e-9 + 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ETA_LINKS, _ANY_ETAS)
+    def test_levels_equal_the_reference_construction(self, link, eta):
+        draws = expectation_mod.FrozenDraws(link, eta)
+        got = [(edges.tobytes(), p.tobytes()) for edges, p, _ in draws.levels]
+        expected = [(edges.tobytes(), p.tobytes()) for edges, p in _reference_levels(link, eta)]
+        assert got == expected
+        assert draws.depth == len(expected)
 
     @settings(max_examples=100, deadline=None)
     @given(
