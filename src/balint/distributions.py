@@ -25,10 +25,9 @@ applies, in place.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -48,15 +47,8 @@ __all__ = [
 ]
 
 _U64 = 2**64
-_PATH_ENTRY = "stream path entries must be unsigned 64-bit integers"
 # SeedSequence's default pool size, in 32-bit words
 _POOL_WORDS = 4
-# SeedSequence.generate_state's hash constants: uint32 word i of a state is
-# made from pool word i % 4 with INIT_B * MULT_B^i and INIT_B * MULT_B^(i + 1),
-# mod 2^32; PCG64 asks for 8 words, 4 uint64s
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_HASH = np.array([_INIT_B * pow(_MULT_B, i, 2**32) % 2**32 for i in range(9)], np.uint32)
-_HASH_IN, _HASH_OUT = _HASH[:8].reshape(2, 4), _HASH[1:].reshape(2, 4)
 
 
 @dataclass(frozen=True)
@@ -66,96 +58,49 @@ class RngStream:
     child(i) appends one index to the path; distinct paths yield statistically
     independent streams (numpy SeedSequence spawn keys). The descriptor is the
     whole state: generator() always starts the stream from its beginning.
-
-    words are the uint32 words SeedSequence.get_assembled_entropy builds
-    from them: the seed's 32-bit words, least significant first (0 is one
-    word), zero-padded to the pool size of 4 words when the path is
-    nonempty, then each path entry's words. child(i) extends its parent's
-    words by i's, so it checks i alone.
     """
 
     master_seed: int
     path: tuple[int, ...] = ()
-    words: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        words = _u32_words(self.master_seed, "master_seed must be an unsigned 64-bit integer")
+        if not 0 <= int(self.master_seed) < _U64:
+            raise SpecError("master_seed must be an unsigned 64-bit integer")
         for i in self.path:
-            words = _padded(words) + _u32_words(i, _PATH_ENTRY)
-        object.__setattr__(self, "words", words)
+            if not 0 <= int(i) < _U64:
+                raise SpecError("stream path entries must be unsigned 64-bit integers")
 
     def child(self, index: int) -> "RngStream":
-        index = operator.index(index)  # a float raises TypeError, as SeedSequence does
-        child = object.__new__(RngStream)  # past __post_init__, which would check the whole path
-        child.__dict__.update(
-            master_seed=self.master_seed,
-            path=self.path + (index,),
-            words=_padded(self.words) + _u32_words(index, _PATH_ENTRY),
-        )
-        return child
+        # a float raises TypeError, as SeedSequence does
+        return RngStream(self.master_seed, self.path + (operator.index(index),))
 
     def generator(self) -> np.random.Generator:
-        """default_rng(SeedSequence(master_seed, spawn_key=path)), seeded from words.
+        """default_rng(SeedSequence(master_seed, spawn_key=path)), seeded from its entropy words.
 
-        A SeedSequence made from the words mixes them into the same pool,
-        and skips numpy's coercion of the seed and the spawn key; PCG64
-        takes its state from that pool through _seed_type(), which makes
-        it from whole arrays. On a 2-vCPU Xeon VM (numpy 2.4.6) a generator
-        takes about 9 us, against 11 us with numpy's generate_state and
-        16 us through default_rng; a replicate makes three.
+        The words are the uint32 array SeedSequence.get_assembled_entropy
+        builds: the seed's 32-bit words, least significant first (0 is one
+        word), zero-padded to the pool size of 4 words when the path is
+        nonempty, then each path entry's words. A SeedSequence made from
+        that array mixes the same words into the same state, and skips
+        numpy's coercion of the seed and the spawn key: on a 2-vCPU Xeon VM
+        (numpy 2.4.6) the SeedSequence takes about 4 us instead of 11 us,
+        and a generator about 12 us instead of 16 us. A replicate makes
+        three.
         """
-        seq = np.random.SeedSequence(np.array(self.words, dtype=np.uint32))
-        return np.random.Generator(np.random.PCG64(_seed_type()(seq)))
+        words = _u32_words(self.master_seed)
+        if self.path:
+            words += [0] * (_POOL_WORDS - len(words))
+            for i in self.path:
+                words += _u32_words(i)
+        seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+        return np.random.Generator(np.random.PCG64(seq))
 
 
-def _u32_words(value: int, refusal: str) -> tuple[int, ...]:
-    """An unsigned 64-bit integer's 32-bit words, least significant first, as numpy splits it.
-
-    A float raises TypeError, as SeedSequence does; an integer out of range, SpecError(refusal).
-    """
-    value = operator.index(value)
-    if not 0 <= value < _U64:
-        raise SpecError(refusal)
+def _u32_words(value: int) -> list[int]:
+    """An unsigned 64-bit integer's 32-bit words, least significant first, as numpy splits it."""
+    value = operator.index(value)  # a float raises TypeError, as SeedSequence does
     high = value >> 32
-    return (value & 0xFFFFFFFF, high) if high else (value & 0xFFFFFFFF,)
-
-
-def _padded(words: tuple[int, ...]) -> tuple[int, ...]:
-    """Entropy words zero-padded to the pool size, as SeedSequence pads them before a spawn key."""
-    return words + (0,) * (_POOL_WORDS - len(words))
-
-
-@functools.cache
-def _seed_type() -> type:
-    """Seeded: a SeedSequence for PCG64, whose state it makes by whole-array arithmetic.
-
-    PCG64 asks its seed sequence for generate_state(4, np.uint64), which
-    numpy's SeedSequence computes one uint32 scalar at a time under
-    np.errstate: about 5.2 us, where the same arithmetic on whole arrays
-    takes about 3.9 us (2-vCPU Xeon VM, numpy 2.4.6). Other requests, and
-    spawn(), go to the SeedSequence, so a generator's spawn() gives the
-    children numpy's own seeding would. Made on first use, so that
-    importing balint does not load numpy.random.
-    """
-    from numpy.random.bit_generator import ISpawnableSeedSequence
-
-    class Seeded(ISpawnableSeedSequence):
-        def __init__(self, seq) -> None:
-            self.seq = seq
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != 4 or dtype is not np.uint64:
-                return self.seq.generate_state(n_words, dtype)
-            state = np.bitwise_xor(self.seq.pool, _HASH_IN)
-            state *= _HASH_OUT
-            state ^= state >> 16
-            # uint32 pairs to uint64 as numpy pairs them, on any byte order
-            return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False).ravel()
-
-        def spawn(self, n_children: int) -> list:
-            return self.seq.spawn(n_children)
-
-    return Seeded
+    return [value & 0xFFFFFFFF, high] if high else [value & 0xFFFFFFFF]
 
 
 def _check_finite(spec) -> None:

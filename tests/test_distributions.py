@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -91,8 +92,7 @@ class TestRngStream:
     @example(master_seed=2**32, path=(2**32 - 1, 2**32, 0))
     @example(master_seed=2**63 + 5, path=(2**64 - 1, 3, 2**40 + 1))
     def test_generator_is_numpy_spawn_key_seeding(self, master_seed, path):
-        # through the constructor, and through child() from the root, which
-        # extends each parent's cached words
+        # through the constructor, and through child() from the root
         chained = RngStream(master_seed)
         for i in path:
             chained = chained.child(i)
@@ -108,6 +108,17 @@ class TestRngStream:
         got = RngStream(master_seed, path).generator().spawn(2)
         expected = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=path)).spawn(2)
         assert [g.random(4).tolist() for g in got] == [g.random(4).tolist() for g in expected]
+
+    def test_generator_survives_a_pickle_round_trip(self):
+        # the bit generator pickles its seed sequence too, which must be numpy's own
+        got = RngStream(5, (2**40, 1)).generator()
+        got.random(2)
+        bit_generator = pickle.loads(pickle.dumps(got.bit_generator))
+        copies = [pickle.loads(pickle.dumps(got)), np.random.Generator(bit_generator)]
+        state, draws = got.bit_generator.state, got.random(4).tolist()
+        for again in copies:
+            assert again.bit_generator.state == state
+            assert again.random(4).tolist() == draws
 
     def test_float_seed_is_refused_as_numpy_refuses_it(self):
         with pytest.raises(TypeError):

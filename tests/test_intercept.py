@@ -1339,12 +1339,12 @@ _ANY_ETAS = st.one_of(
         st.lists(st.sampled_from([-math.inf, math.inf]), min_size=1, max_size=3),
     ),
     st.builds(np.full, st.integers(1, 10_000), st.floats(allow_nan=False, allow_infinity=False)),
-    # NaN draws, among ordinary and infinite ones: the exact mean is NaN
-    st.builds(
-        lambda finite, nan: np.random.default_rng(0).permutation(np.array(finite + nan)),
-        st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-math.inf, math.inf])), max_size=5000),
-        st.lists(st.just(math.nan), min_size=1, max_size=3),
-    ),
+)
+# NaN draws, among ordinary and infinite ones: the exact mean is NaN
+_NAN_ETAS = st.builds(
+    lambda finite, nan: np.random.default_rng(0).permutation(np.array(finite + nan)),
+    st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-math.inf, math.inf])), max_size=5000),
+    st.lists(st.just(math.nan), min_size=1, max_size=3),
 )
 
 
@@ -1383,7 +1383,7 @@ class TestFrozenDrawsInterval:
                 assert (lo, hi) == (-math.inf, math.inf)
             else:
                 assert lo <= mean <= hi
-        if isinstance(link, Logit) and not math.isnan(mean):
+        if isinstance(link, Logit):
             # sum_k p_k (g^-1(upper_k) - g^-1(lower_k)) over the keys telescopes
             # under a g^-1 bounded by [0, 1], and every p_k <= ceil(n / HIST_BINS) / n;
             # each end's float32 step out, of at most 2^-23 |eta|, adds at most
@@ -1394,8 +1394,19 @@ class TestFrozenDrawsInterval:
             lo, hi = bounds[-1]
             assert hi - lo <= step / eta.size + widening + 2e-9 + 1e-14
 
+    @settings(max_examples=100, deadline=None)
+    @given(_ETA_LINKS, _NAN_ETAS, _B0)
+    def test_nan_draws_give_the_whole_line(self, link, eta, b0):
+        # each link's bound path, on every level, must give up where the exact mean is NaN
+        draws = expectation_mod.FrozenDraws(link, eta)
+        with np.errstate(all="ignore"):
+            bounds = [draws.interval(b0, level) for level in range(draws.depth)]
+            mean = draws.mean(b0)
+        assert math.isnan(mean)
+        assert bounds == [(-math.inf, math.inf)] * draws.depth
+
     @settings(max_examples=200, deadline=None)
-    @given(_ETA_LINKS, _ANY_ETAS)
+    @given(_ETA_LINKS, st.one_of(_ANY_ETAS, _NAN_ETAS))
     def test_levels_equal_the_reference_construction(self, link, eta):
         draws = expectation_mod.FrozenDraws(link, eta)
         got = [(edges.tobytes(), p.tobytes()) for edges, p, _ in draws.levels]
