@@ -66,17 +66,19 @@ class Workspace(threading.local):
     last borrower left there. The set is kept across borrows and replaced
     only when n changes. Two instances exist, so that neither user's n
     evicts the other's set: WORKSPACE here holds a Monte Carlo solve's
-    (eta, x, mu), and harness.REPLICATE_WORKSPACE a cell's replicates
-    (datagen.generate's work). A process running a Monte Carlo grid keeps
-    three n_mc arrays resident per thread that has solved, 2.4 MB at the
-    default n_mc of 100,000, below the five n_mc arrays a solve used to hold
-    at once; run_grid's helper thread, which solves every other cell of such
-    a grid, holds the second set until the grid ends. One running replicates
-    keeps three n arrays, 240 KB at n = 10,000. Allocated per use, arrays of
-    this size go back to the OS when freed (glibc unmaps them or trims the
-    heap top), so the next use faults every page in again: about 1,650 minor
-    page faults per 100k-draw solve, near a third of its time on a 2-vCPU
-    VM, and about 25 per 10k-row fig1 replicate.
+    (eta, x, mu), and harness.REPLICATE_WORKSPACE a block of a cell's
+    replicates (datagen.generate's work, borrowed at rows * n and viewed
+    as (rows, n)). A process running a Monte Carlo grid keeps three n_mc
+    arrays resident per thread that has solved, 2.4 MB at the default n_mc
+    of 100,000, below the five n_mc arrays a solve used to hold at once;
+    run_grid's helper thread, which solves every other cell of such a grid,
+    holds the second set until the grid ends. One running replicates keeps
+    three arrays of at most harness.BLOCK_ELEMENTS, or of n where n is
+    larger: 1.2 MB for blocks of 5 rows at n = 10,000. Allocated per use,
+    arrays of this size go back to the OS when freed (glibc unmaps them or
+    trims the heap top), so the next use faults every page in again: about
+    1,650 minor page faults per 100k-draw solve, near a third of its time
+    on a 2-vCPU VM, and about 25 per 10k-row fig1 replicate.
 
     A borrow made while this thread's set is already lent (a nested solve)
     gets fresh arrays, so two borrowers never share memory. Nothing may keep
@@ -142,7 +144,8 @@ class FrozenDraws:
         np.add(self.eta, b0, out=self.mu)
         self.link.invert(self.mu, out=self.mu, scratch=self.x)
         self.at = b0
-        self.total = np.add.reduce(self.mu)
+        with np.errstate(over="ignore"):  # an inf sum is the interval's and se's to handle
+            self.total = np.add.reduce(self.mu)
         return float(self.total / self.mu.size)
 
     def se(self, b0: float) -> float:

@@ -42,7 +42,7 @@ from typing import ContextManager, Iterator, Literal, Optional, Sequence, Union,
 
 import numpy as np
 
-from .distributions import Categorical, CovariateSpec, RngStream
+from .distributions import Categorical, CovariateSpec, RngStream, Streams, draw_rows, scratch_view
 from .errors import (
     EngineMismatchError,
     InfeasibleError,
@@ -95,9 +95,9 @@ class NormalOutcome:
         if not 0.0 < self.sd < math.inf:
             raise SpecError(f"normal outcome sd must be positive and finite, got {self.sd}")
 
-    def draw(self, mu: np.ndarray, eta: np.ndarray, rng: RngStream, out: np.ndarray):
+    def draw(self, mu: np.ndarray, eta: np.ndarray, rng: Streams, out: np.ndarray):
         """(mu + sd * z into out, 0 clamped), bit for bit numpy's normal(mu, sd) from rng."""
-        z = rng.generator().standard_normal(mu.size, out=out)
+        z = draw_rows(mu.shape[-1], rng, out, lambda g, row: g.standard_normal(row.size, out=row))
         return np.add(np.multiply(z, self.sd, out=z), mu, out=z), 0
 
 
@@ -110,6 +110,9 @@ class BernoulliOutcome:
 
     clamp names what draw does with a mean outside [0, 1]: clamp_to_unit clips it in eta and
     counts those rows (draw's second value), reject_out_of_range refuses it, naming row and eta.
+    Over a block of datasets (mu of shape (rows, n)) the count is the block's, and the row
+    refused is the first in the first dataset that has one, its index counted within that
+    dataset. The masks are taken in out before the uniforms are drawn there.
     """
 
     clamp: str = "clamp_to_unit"
@@ -120,18 +123,23 @@ class BernoulliOutcome:
         if self.clamp not in CLAMPS:
             raise SpecError(f"unknown clamp policy '{self.clamp}' (expected one of {sorted(CLAMPS)})")
 
-    def draw(self, mu: np.ndarray, eta: np.ndarray, rng: RngStream, out: np.ndarray):
+    def draw(self, mu: np.ndarray, eta: np.ndarray, rng: Streams, out: np.ndarray):
         p, clamp_count = mu, 0
         if self.clamp == "clamp_to_unit":
             p = np.clip(mu, 0.0, 1.0, out=eta)
-            clamp_count = int(np.count_nonzero(p != mu))
+            clamped = np.not_equal(p, mu, out=scratch_view(out, np.bool_, mu.shape))
+            clamp_count = int(np.count_nonzero(clamped))
         else:
-            i = int(np.argmax((mu < 0.0) | (mu > 1.0)))  # the first such row, else 0
-            if mu[i] < 0.0 or mu[i] > 1.0:
+            below = np.less(mu, 0.0, out=scratch_view(out, np.bool_, mu.shape))
+            above = np.greater(mu, 1.0, out=scratch_view(out, np.bool_, mu.shape, mu.size))
+            k = int(np.argmax(np.logical_or(below, above, out=below)))  # the first such row, else 0
+            m, e = mu.flat[k], eta.flat[k]
+            if m < 0.0 or m > 1.0:
                 raise OutOfRangeError(
-                    f"row {i}: mean {mu[i]:.6g} outside [0, 1] (eta = {eta[i]:.6g}); generation rejected"
+                    f"row {k % mu.shape[-1]}: mean {m:.6g} outside [0, 1] (eta = {e:.6g}); generation rejected"
                 )
-        return np.less(rng.generator().random(mu.size, out=out), p, out=out), clamp_count
+        u = draw_rows(mu.shape[-1], rng, out, lambda g, row: g.random(row.size, out=row))
+        return np.less(u, p, out=u), clamp_count
 
 
 OutcomeFamily = Union[NormalOutcome, BernoulliOutcome]
@@ -241,7 +249,7 @@ class Term:
 def draw_terms(
     terms: Sequence[Term],
     n: int,
-    rng: RngStream,
+    rng: Streams,
     eta: np.ndarray,
     work: Optional[tuple[np.ndarray, np.ndarray]] = None,
     beta0: Optional[float] = None,
@@ -253,17 +261,19 @@ def draw_terms(
     The first term's share is written straight into eta and beta0 added to
     it (the same bits as adding it to beta0), each later share added in
     place; beta0=None adds none, so eta may hold -0.0 where a sum from 0.0
-    would hold +0.0. work = (x, y), two float64 arrays of n: each term is
-    drawn into x and its share of eta written into y, so nothing of size n
-    is allocated, and the draws returned are views of x that each later
-    term overwrites.
+    would hold +0.0. work = (x, y), two float64 arrays shaped like eta:
+    each term is drawn into x, with y as its scratch, and its share of eta
+    written into y, so nothing of size n is allocated, and the draws
+    returned are views of x that each later term overwrites. rng may be a
+    block of streams (RngRows) and eta (rows, n): row r of every array is
+    then the draw from rng's r-th stream, the same bits as that stream alone.
     """
     x, y = work or (None, None)
     if not terms:
         eta.fill(0.0 if beta0 is None else beta0)
     draws = []
     for j, term in enumerate(terms):
-        values = term.spec.sample(n, rng.child(j), out=x)
+        values = term.spec.sample(n, rng.child(j), out=x, scratch=y)
         if j:
             eta += term.eta(values, out=y)
         else:

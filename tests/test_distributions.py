@@ -103,6 +103,54 @@ class TestRngStream:
             assert got.bit_generator.state == expected.bit_generator.state
             assert got.random(3).tolist() == expected.random(3).tolist()
 
+    @given(
+        master_seed=st.integers(0, 2**64 - 1),
+        path=st.lists(st.integers(0, 2**64 - 1), max_size=4).map(tuple),
+        indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+        suffix=st.lists(st.integers(0, 2**64 - 1), max_size=3).map(tuple),
+    )
+    @example(master_seed=0, path=(), indices=[0], suffix=())
+    @example(master_seed=2**32, path=(2**32 - 1,), indices=[3, 2**32, 0], suffix=(0, 1))
+    @example(master_seed=2**63 + 5, path=(2**64 - 1, 1), indices=[2**64 - 1, 7], suffix=(2**40 + 1,))
+    def test_rows_reached_through_child_chains_are_numpy_spawn_key_seeding(self, master_seed, path, indices, suffix):
+        # a block's rows, and each child() chain from them, against numpy's
+        # own seeding of every row's whole path, and against RngStream's chain
+        block = RngStream(master_seed, path).rows(indices)
+        for i in suffix:
+            block = block.child(i)
+        assert len(block) == len(indices)
+        for k, got in zip(indices, block.generators()):
+            chained = RngStream(master_seed, path).child(k)
+            for i in suffix:
+                chained = chained.child(i)
+            spawn_key = path + (k,) + suffix
+            expected = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=spawn_key))
+            assert got.bit_generator.state == expected.bit_generator.state == chained.generator().bit_generator.state
+            assert got.random(3).tolist() == expected.random(3).tolist()
+
+    def test_a_slice_of_rows_is_those_rows(self):
+        block = RngStream(3, (8,)).rows(range(5)).child(1)
+        states = [g.bit_generator.state for g in block.generators()]
+        assert [g.bit_generator.state for g in block[1:4].generators()] == states[1:4]
+        assert len(block[3:9]) == 2
+
+    def test_row_indices_are_checked_as_child_checks_them(self):
+        with pytest.raises(TypeError):
+            RngStream(0).rows([1, 2.5])
+        with pytest.raises(SpecError):
+            RngStream(0).rows([2**64])
+        with pytest.raises(TypeError):
+            RngStream(0).rows([1]).child(2.7)
+        with pytest.raises(SpecError):
+            RngStream(0).rows([1]).child(-1)
+
+    def test_a_row_generator_survives_a_pickle_round_trip(self):
+        (got,) = RngStream(5, (2**40,)).rows([1]).generators()
+        got.random(2)
+        again = pickle.loads(pickle.dumps(got))
+        assert again.bit_generator.state == got.bit_generator.state
+        assert again.random(4).tolist() == got.random(4).tolist()
+
     @pytest.mark.parametrize("master_seed, path", [(0, ()), (2**40 + 7, ()), (11, (2**33, 4))])
     def test_spawned_generators_are_numpy_spawns(self, master_seed, path):
         got = RngStream(master_seed, path).generator().spawn(2)
@@ -471,6 +519,25 @@ _NUMPY_SAMPLERS = [
     (Gamma(1.3, 1.5), lambda g, n: g.gamma(1.3, 1.0 / 1.5, n)),
     (Cauchy(-2.0, 0.4), lambda g, n: -2.0 + 0.4 * g.standard_cauchy(n)),
 ]
+
+
+class TestSampleRows:
+    """Over a block of streams each spec fills row r from the r-th stream, to the bits of that stream alone."""
+
+    @pytest.mark.parametrize(
+        "spec", [*(spec for spec, _ in _NUMPY_SAMPLERS), Categorical((0.2, 0.0, 0.5, 0.3))], ids=lambda v: v.kind
+    )
+    @pytest.mark.parametrize("n", [1, 7, 8193])
+    def test_each_row_equals_its_stream_alone(self, spec, n):
+        base = RngStream(41, (2**33, 1))
+        block = base.rows([0, 5, 2**32 + 1]).child(0)
+        fresh = spec.sample(n, block)
+        out, scratch = np.full((3, n), np.nan), np.full((3, n), -1e300)
+        into = spec.sample(n, block, out=out, scratch=scratch)
+        assert fresh.shape == into.shape == (3, n)
+        for r, k in enumerate([0, 5, 2**32 + 1]):
+            alone = spec.sample(n, base.child(k).child(0))
+            assert fresh[r].tobytes() == into[r].tobytes() == alone.tobytes()
 
 
 class TestSampleIntoBuffer:

@@ -5,9 +5,11 @@ import io
 import math
 import os
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import balint.expectation as expectation_mod
 import balint.harness as harness_mod
@@ -30,6 +32,7 @@ from balint import (
     MonteCarlo,
     Normal,
     NormalOutcome,
+    OutOfRangeError,
     RngStream,
     Scenario,
     SpecError,
@@ -102,6 +105,20 @@ class TestScenarioValidation:
     def test_n_floor(self):
         with pytest.raises(SpecError, match="scenario s: n must be at least 1"):
             Scenario("s", self._dgp(), "log_closed_form", n=0, replicates=5, master_seed=0)
+
+    @pytest.mark.parametrize("n, replicates, name", [(2.5, 5, "n"), (10, 3.0, "replicates"), ("10", 5, "n")])
+    def test_non_integral_sizes_are_refused(self, n, replicates, name):
+        with pytest.raises(SpecError, match=f"scenario s: {name} must be an integer"):
+            Scenario("s", self._dgp(), "log_closed_form", n=n, replicates=replicates, master_seed=0)
+
+    def test_numpy_integer_sizes_are_taken(self):
+        s = Scenario("s", self._dgp(), "log_closed_form", n=np.int64(10), replicates=np.int32(3), master_seed=0)
+        assert len(run_scenario(s).replicate_means) == 3
+
+    def test_a_grid_of_non_integral_n_raises_an_error_not_a_type_error(self):
+        # run_grid's callers (simulate) map an Error to its exit code; a TypeError escaped them
+        with pytest.raises(SpecError, match="n must be an integer, got 2.5"):
+            run_grid(small_grid(n=2.5))
 
 
 class TestRunScenario:
@@ -183,7 +200,8 @@ class TestReplicateWorkspace:
         solver_arrays = expectation_mod.WORKSPACE.arrays
         replicate_arrays = harness_mod.REPLICATE_WORKSPACE.arrays
         assert [a.size for a in solver_arrays] == [5000] * 3
-        assert [a.size for a in replicate_arrays] == [100] * 3
+        # one block holds both replicates: rows * n elements per array
+        assert [a.size for a in replicate_arrays] == [2 * 100] * 3
         run_scenario(s)
         assert all(a is b for a, b in zip(expectation_mod.WORKSPACE.arrays, solver_arrays))
         assert all(a is b for a, b in zip(harness_mod.REPLICATE_WORKSPACE.arrays, replicate_arrays))
@@ -197,6 +215,84 @@ class TestReplicateWorkspace:
         assert r.replicate_means == tuple(float(ds.outcome.mean()) for ds in fresh)
         assert r.clamp_rate == sum(ds.clamp_count for ds in fresh) / (6 * 500)
         assert r.clamp_rate > 0.0
+
+
+_BLOCK_TERMS = [
+    Term("b", Bernoulli(0.3), 1.5),
+    Term("u", UniformContinuous(-1.0, 2.0), -0.7),
+    Term("z", Normal(0.2, 1.0), 0.5),
+    Term("g", Gamma(2.0, 3.0), 0.4),
+    Term("c", Cauchy(0.0, 0.1), 0.01),
+    Term("k", Categorical((0.2, 0.0, 0.5, 0.3), "effect"), (0.3, -0.1, 0.4)),
+]
+
+
+def _replicates_one_by_one(s, beta0):
+    """What each replicate gives alone: (means, clamp_rate), or the first replicate's error."""
+    rep_base = scenario_stream(s.master_seed, s.id).child(1)
+    try:
+        fresh = [generate(s.dgp, beta0, s.n, rep_base.child(k)) for k in range(s.replicates)]
+    except OutOfRangeError as e:
+        return type(e), str(e)
+    means = np.array([ds.outcome.mean() for ds in fresh])
+    return means.tobytes(), sum(ds.clamp_count for ds in fresh) / (s.replicates * s.n)
+
+
+def _replicates_in_blocks(s, beta0):
+    sol = intercept_mod.InterceptSolution(beta0, "numeric", 0.0, 0, 0.0)
+    with mock.patch.object(harness_mod, "_solve", lambda s: sol):
+        try:
+            r = run_scenario(s)
+        except OutOfRangeError as e:
+            return type(e), str(e)
+    return np.array(r.replicate_means).tobytes(), r.clamp_rate
+
+
+class TestReplicateBlocks:
+    """run_scenario generates a cell's replicates in blocks of rows, to the bits of one replicate at a time."""
+
+    @given(
+        terms=st.lists(st.sampled_from(_BLOCK_TERMS), min_size=1, max_size=3, unique_by=lambda t: t.name),
+        link=st.sampled_from([Identity(), Log(), Logit()]),
+        outcome=st.sampled_from([NormalOutcome(0.25), BernoulliOutcome(), BernoulliOutcome("reject_out_of_range")]),
+        beta0=st.floats(-2.0, 1.0),
+        n=st.sampled_from([1, 2, 7, 100, 8193, 20001]),
+        replicates=st.integers(2, 11),
+        budget=st.sampled_from([harness_mod.BLOCK_ELEMENTS, 16]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(
+        terms=[_BLOCK_TERMS[0]], link=Identity(), outcome=BernoulliOutcome("reject_out_of_range"),
+        beta0=-0.5, n=7, replicates=5, budget=16, seed=3,
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_blocks_equal_one_replicate_at_a_time(self, terms, link, outcome, beta0, n, replicates, budget, seed):
+        # a budget of 16 elements puts 16, 8, 2 and 1 rows in a block at n = 1, 2, 7 and 100,
+        # and the default's 6 and 2 at n = 8193 and 20001, so the last block is often short
+        dgp = DgpSpec(tuple(terms), link, outcome, 0.5)
+        s = Scenario("blocks", dgp, "numeric", n=n, replicates=replicates, master_seed=seed)
+        # a Cauchy or log-link mean may be inf, whose se is NaN: bits are compared, not values
+        with np.errstate(all="ignore"), mock.patch.object(harness_mod, "BLOCK_ELEMENTS", budget):
+            assert _replicates_in_blocks(s, beta0) == _replicates_one_by_one(s, beta0)
+
+    def test_a_rejected_mean_is_named_within_the_first_replicate_that_has_one(self):
+        # mu is 0 or 1.5: at this seed replicate 0 draws no 1, replicate 1 first at its row 2
+        dgp = DgpSpec((_BLOCK_TERMS[0],), Identity(), BernoulliOutcome("reject_out_of_range"), 0.5)
+        s = Scenario("reject", dgp, "numeric", n=4, replicates=6, master_seed=3)
+        expected = _replicates_one_by_one(s, 0.0)
+        assert expected == (OutOfRangeError, "row 2: mean 1.5 outside [0, 1] (eta = 1.5); generation rejected")
+        assert generate(dgp, 0.0, 4, scenario_stream(3, "reject").child(1).child(0)).clamp_count == 0
+        assert _replicates_in_blocks(s, 0.0) == expected
+
+    @pytest.mark.parametrize("n", [1, 7, 8192, 8193, 10_000, 20_001, 100_000])
+    def test_a_rows_sum_over_n_is_its_mean(self, n):
+        # run_scenario takes each replicate's mean from one reduction over its
+        # block; numpy does not promise it sums a row of a 2-D array in the
+        # order it sums a 1-D array, which this checks above its 8,192-element buffer
+        block = RngStream(17).generator().standard_normal((3, n)) * 1e3
+        sums = np.add.reduce(block, axis=1)
+        assert (sums / n).tobytes() == np.array([row.mean() for row in block]).tobytes()
+        assert block.mean(axis=1).tobytes() == (sums / n).tobytes()
 
 
 def test_import_loads_no_multiprocessing_or_openssl():

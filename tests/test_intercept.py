@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import balint.expectation as expectation_mod
 import balint.intercept as intercept_mod
-from balint.intercept import moment_mean
+from balint.intercept import DEFAULT_TOL_MC, moment_mean
 from balint import (
     Bernoulli,
     BernoulliOutcome,
@@ -696,6 +696,15 @@ class TestSolveNumeric:
         sol = solve_numeric(dgp, engine=MonteCarlo(2000), rng=RngStream(34))
         assert sol.mc_se > 0.0
         assert ("infinite_variance" in sol.warnings) == warns
+
+    def test_a_pass_whose_sum_overflows_warns_by_name_not_by_numpy(self):
+        # a lognormal share whose sample sum passes a double at the bracket's
+        # upper end: the pass's inf is the interval's and se's to handle, and
+        # under filterwarnings = error numpy's own overflow warning would raise
+        dgp = DgpSpec((Term("z", Normal(2.638, 0.1134), 248.66),), Log(), NormalOutcome(0.1), 2.86)
+        sol = solve_numeric(dgp, engine=MonteCarlo(20000), rng=RngStream(1))
+        assert math.isfinite(sol.beta0) and sol.residual <= DEFAULT_TOL_MC
+        assert sol.warnings == {"infinite_variance", "mc_precision"}
 
     @pytest.mark.parametrize("z", [*_SUPPFIG1_Z, Cauchy(0.0, 1.0)], ids=lambda z: type(z).__name__)
     def test_infinite_variance_never_under_logit(self, z):
