@@ -7,8 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import RngRows, Streams
-from .errors import SpecError
+from .distributions import RngRows, Streams, check_int
 from .intercept import DgpSpec, draw_terms
 
 __all__ = ["Column", "Dataset", "generate"]
@@ -59,17 +58,15 @@ def generate(
     this way; one RngStream is the block of one.
 
     work = (eta, x, y), three float64 arrays shaped like the outcome, makes
-    generation allocate nothing of size n (run_scenario passes views of a
-    per-thread set). The covariates are drawn into x, with y as scratch,
-    the first term's share of eta straight into eta and each later one's
-    into y, mu is taken into y and the outcome drawn into x. All draws share
-    x, so the Dataset has columns=(), and its outcome is x itself, valid
-    until the next use of work. The outcome and clamp_count are the same to
-    the bit either way.
+    generation allocate nothing of size n (run_scenario passes (rows, n)
+    views of its thread's expectation.WORKSPACE set). The covariates are
+    drawn into x, with y as scratch, the first term's share of eta straight
+    into eta and each later one's into y, mu is taken into y and the
+    outcome drawn into x. All draws share x, so the Dataset has
+    columns=(), and its outcome is x itself, valid until the next use of
+    work. The outcome and clamp_count are the same to the bit either way.
     """
-    n = int(n)
-    if n < 1:
-        raise SpecError("dataset size must be at least 1")
+    n = check_int(n, "dataset size", 1)
     shape = (len(rng), n) if isinstance(rng, RngRows) else (n,)
     eta, x, y = work or (np.empty(shape), None, None)
     draws = draw_terms(dgp.terms, n, rng.child(0), eta, (x, y), float(beta0))

@@ -65,21 +65,25 @@ class RngStream:
     child(i) appends one index to the path; distinct paths yield statistically
     independent streams (numpy SeedSequence spawn keys). The descriptor is the
     whole state: generator() always starts the stream from its beginning.
+    The seed and every path entry are checked when it is built, as rows()
+    and RngRows.child check theirs: a float raises TypeError, as numpy's
+    SeedSequence does, and a value outside [0, 2^64) SpecError. The path is
+    kept as a tuple, so a descriptor built from a list hashes and extends.
     """
 
     master_seed: int
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.master_seed) < _U64:
+        # a float raises TypeError, as SeedSequence does
+        if not 0 <= operator.index(self.master_seed) < _U64:
             raise SpecError("master_seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "path", tuple(self.path))
         for i in self.path:
-            if not 0 <= int(i) < _U64:
-                raise SpecError("stream path entries must be unsigned 64-bit integers")
+            _entry_words(i)
 
     def child(self, index: int) -> "RngStream":
-        # a float raises TypeError, as SeedSequence does
-        return RngStream(self.master_seed, self.path + (operator.index(index),))
+        return RngStream(self.master_seed, self.path + (index,))
 
     def generator(self) -> np.random.Generator:
         """default_rng(SeedSequence(master_seed, spawn_key=path)), seeded from its entropy words.
@@ -116,7 +120,6 @@ class RngRows:
     Made by RngStream.rows; child(i) appends one index to every row's path,
     as RngStream.child does, and generators() returns each row's generator,
     in row order, the one RngStream(...).generator() gives for that path.
-    A slice takes those rows.
     """
 
     words: tuple[int, ...]
@@ -125,9 +128,6 @@ class RngRows:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __getitem__(self, key: slice) -> "RngRows":
-        return RngRows(self.words, self.rows[key], self.suffix)
 
     def child(self, index: int) -> "RngRows":
         return RngRows(self.words, self.rows, self.suffix + _entry_words(index))
@@ -155,7 +155,10 @@ def _path_words(master_seed: int, path: tuple[int, ...]) -> list[int]:
 
 
 def _entry_words(index: int) -> tuple[int, ...]:
-    """A path entry's words, refused as RngStream refuses it: TypeError for a float, SpecError out of range."""
+    """A path entry's words, checked: TypeError for a float, as SeedSequence raises, SpecError out of range.
+
+    RngStream, RngStream.rows and RngRows.child check every entry here.
+    """
     if not 0 <= operator.index(index) < _U64:
         raise SpecError("stream path entries must be unsigned 64-bit integers")
     return tuple(_u32_words(index))
@@ -175,11 +178,18 @@ def _check_finite(spec) -> None:
             raise SpecError(f"{spec.kind} {f.name} must be finite, got {value}")
 
 
-def _check_n(n: int) -> int:
-    n = int(n)
-    if n < 1:
-        raise SpecError("sample size must be at least 1")
-    return n
+def check_int(value, name: str, least: int, error: type[SpecError] = SpecError) -> int:
+    """value as operator.index gives it, refused by an error naming it where that fails or it is below least.
+
+    A float or a string is refused, not truncated or parsed; numpy integers are taken.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise error(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def draw_rows(n: int, rng: Streams, out: Optional[np.ndarray], draw: Callable) -> np.ndarray:
@@ -188,7 +198,7 @@ def draw_rows(n: int, rng: Streams, out: Optional[np.ndarray], draw: Callable) -
     rng is one stream and out has n elements, or rng is an RngRows and out
     (rows, n) of them, row r from rng's r-th generator.
     """
-    n = _check_n(n)
+    n = check_int(n, "sample size", 1)
     if isinstance(rng, RngRows):
         generators, shape = rng.generators(), (len(rng), n)
     else:

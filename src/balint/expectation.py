@@ -22,8 +22,9 @@ full pass, so its result is the same to the bit as without the filter.
 
 A Monte Carlo solve works in three n_mc-sized float64 arrays: the frozen
 eta, g^-1(b0 + eta), and one scratch, whose first half first holds the
-sorted float32 keys. It borrows them from WORKSPACE, which keeps them
-between solves, one set per thread (Workspace says why).
+sorted float32 keys. It borrows them from WORKSPACE, one set per thread,
+kept between solves and shared with the thread's replicate blocks
+(Workspace says why).
 """
 
 from __future__ import annotations
@@ -60,21 +61,21 @@ MAX_SUM = 2.0**1020
 
 
 class Workspace(threading.local):
-    """Three float64 arrays of the last n used, one set per thread, lent to one borrower at a time.
+    """Three float64 arrays, one set per thread, lent to one borrower at a time.
 
-    borrow(n) yields three arrays of n elements, each holding whatever the
-    last borrower left there. The set is kept across borrows and replaced
-    only when n changes. Two instances exist, so that neither user's n
-    evicts the other's set: WORKSPACE here holds a Monte Carlo solve's
-    (eta, x, mu), and harness.REPLICATE_WORKSPACE a block of a cell's
-    replicates (datagen.generate's work, borrowed at rows * n and viewed
-    as (rows, n)). A process running a Monte Carlo grid keeps three n_mc
-    arrays resident per thread that has solved, 2.4 MB at the default n_mc
-    of 100,000, below the five n_mc arrays a solve used to hold at once;
-    run_grid's helper thread, which solves every other cell of such a grid,
-    holds the second set until the grid ends. One running replicates keeps
-    three arrays of at most harness.BLOCK_ELEMENTS, or of n where n is
-    larger: 1.2 MB for blocks of 5 rows at n = 10,000. Allocated per use,
+    borrow(n) yields views of the first n elements of each array, holding
+    whatever the last borrower left there. The set is kept across borrows
+    and replaced only by a borrow of more elements, so a thread keeps the
+    largest set it has borrowed. WORKSPACE is the one instance, and it lends
+    every n-sized array: a Monte Carlo solve's (eta, x, mu) at n_mc, and a
+    block of a cell's replicates (datagen.generate's work, borrowed by
+    harness.run_scenario at rows * n and viewed as (rows, n)), so neither
+    evicts the other's set. A thread keeps three arrays of at most
+    max(n_mc, harness.BLOCK_ELEMENTS, n): 2.4 MB at the default n_mc of
+    100,000, below the five n_mc arrays a solve used to hold at once, and
+    1.2 MB for a grid without Monte Carlo at n = 10,000 (blocks of 5 rows).
+    run_grid's helper thread, which solves every other cell of a Monte
+    Carlo grid, holds a second set until the grid ends. Allocated per use,
     arrays of this size go back to the OS when freed (glibc unmaps them or
     trims the heap top), so the next use faults every page in again: about
     1,650 minor page faults per 100k-draw solve, near a third of its time
@@ -94,12 +95,12 @@ class Workspace(threading.local):
         if self.lent:
             yield tuple(np.empty(n) for _ in range(3))
             return
-        if not self.arrays or self.arrays[0].size != n:
+        if not self.arrays or self.arrays[0].size < n:
             self.arrays = ()  # free the old set before allocating the new one
             self.arrays = tuple(np.empty(n) for _ in range(3))
         self.lent = True
         try:
-            yield self.arrays
+            yield tuple(a[:n] for a in self.arrays)
         finally:
             self.lent = False
 

@@ -14,7 +14,6 @@ import csv
 import functools
 import io
 import math
-import operator
 import os
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, Union
@@ -22,9 +21,9 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .datagen import generate
-from .distributions import CovariateSpec, RngStream
+from .distributions import CovariateSpec, RngStream, check_int
 from .errors import ConfigError, Error, MgfDomainError, SpecError, UndefinedMomentError
-from .expectation import Workspace
+from .expectation import WORKSPACE
 from .intercept import (
     DgpSpec,
     Engine,
@@ -76,16 +75,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.id:
             raise SpecError("scenario id must be nonempty")
-        for name in ("n", "replicates"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)  # as RngStream.child takes its index
-            except TypeError:
-                raise SpecError(f"scenario {self.id}: {name} must be an integer, got {value!r}") from None
-        if self.n < 1:
-            raise SpecError(f"scenario {self.id}: n must be at least 1")
-        if self.replicates < 2:
-            raise SpecError(f"scenario {self.id}: a standard error needs at least 2 replicates")
+        check_int(self.n, f"scenario {self.id}: n", 1)
+        # a standard error needs at least 2 replicates
+        check_int(self.replicates, f"scenario {self.id}: replicates", 2)
+        check_int(self.master_seed, f"scenario {self.id}: master_seed", 0)
         if self.solver not in SOLVER_NAMES:
             raise SpecError(
                 f"scenario {self.id}: unknown solver '{self.solver}' "
@@ -111,10 +104,6 @@ class ScenarioResult:
     replicate_means: tuple[float, ...]
 
 
-# The replicates' arrays, kept apart from expectation.WORKSPACE: sharing one
-# set would swap a Monte Carlo grid's n_mc arrays for n-sized ones at every
-# cell, and fault them back in at the next solve.
-REPLICATE_WORKSPACE = Workspace()
 # The most elements in each of a replicate block's three arrays, where one
 # row (n past it) does not already exceed it: 5 rows at n = 10,000, whose
 # three arrays take 1.2 MB. Measured on a 2-vCPU Xeon VM (numpy 2.4.6) over
@@ -131,11 +120,11 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     Replicate k draws from substream (master_seed, id hash, 1, k); the solver
     owns substream (master_seed, id hash, 0). The replicates are generated
     in blocks of max(1, BLOCK_ELEMENTS // n) rows, one replicate per row
-    (datagen.generate on an RngStream.rows block), all in one set of three
-    arrays of rows * n borrowed from REPLICATE_WORKSPACE, and each row's
-    mean is taken by one reduction over the block. Every replicate mean and
-    the clamp count are the same to the bit as generating each replicate
-    alone.
+    (datagen.generate on an RngStream.rows block), each block in (rows, n)
+    views of the thread's one expectation.WORKSPACE set, borrowed at
+    rows * n for the whole cell, and each row's mean is taken by one
+    reduction over the block. Every replicate mean and the clamp count are
+    the same to the bit as generating each replicate alone.
     """
     return _replicate(s, _solve(s))
 
@@ -150,15 +139,13 @@ def _solve(s: Scenario) -> InterceptSolution:
 def _replicate(s: Scenario, sol: InterceptSolution) -> ScenarioResult:
     n = s.n
     rows = max(1, min(s.replicates, BLOCK_ELEMENTS // n))
-    streams = s.stream.child(1).rows(range(s.replicates))
     means = np.empty(s.replicates)
     clamped = 0
-    with REPLICATE_WORKSPACE.borrow(rows * n) as work:
-        full = tuple(a.reshape(rows, n) for a in work)
+    with WORKSPACE.borrow(rows * n) as work:
         for k in range(0, s.replicates, rows):
-            block = streams[k : k + rows]
-            shaped = full if len(block) == rows else tuple(a[: len(block)] for a in full)
-            ds = generate(s.dgp, sol.beta0, n, block, shaped)
+            block = s.stream.child(1).rows(range(k, min(k + rows, s.replicates)))
+            views = tuple(a[: len(block) * n].reshape(-1, n) for a in work)
+            ds = generate(s.dgp, sol.beta0, n, block, views)
             np.add.reduce(ds.outcome, axis=1, out=means[k : k + rows])
             clamped += ds.clamp_count
     means /= n  # each row's sum over n, as ndarray.mean divides it
@@ -217,10 +204,9 @@ class GridConfig:
                     raise ConfigError(f"{axis} repeats the value {float(v)}")
                 seen.add(float(v))
         # refused here, not by each cell's RngStream, which would make every row an error
-        if not 0 <= self.master_seed < 2**64:
+        if check_int(self.master_seed, "master_seed", 0, ConfigError) >= 2**64:
             raise ConfigError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}")
-        if self.workers < 0:
-            raise ConfigError(f"workers must be nonnegative (0 = auto), got {self.workers}")
+        check_int(self.workers, "workers", 0, ConfigError)  # 0 = auto
 
 
 class GridCell(NamedTuple):

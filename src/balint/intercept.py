@@ -42,7 +42,7 @@ from typing import ContextManager, Iterator, Literal, Optional, Sequence, Union,
 
 import numpy as np
 
-from .distributions import Categorical, CovariateSpec, RngStream, Streams, draw_rows, scratch_view
+from .distributions import Categorical, CovariateSpec, RngStream, Streams, check_int, draw_rows, scratch_view
 from .errors import (
     EngineMismatchError,
     InfeasibleError,
@@ -344,9 +344,7 @@ class MonteCarlo:
     tol = DEFAULT_TOL_MC
 
     def __post_init__(self) -> None:
-        if int(self.n_mc) < 2:
-            raise SpecError(f"n_mc must be at least 2, got {self.n_mc}")
-        object.__setattr__(self, "n_mc", int(self.n_mc))
+        object.__setattr__(self, "n_mc", check_int(self.n_mc, "n_mc", 2))
 
     @contextmanager
     def expectation(self, dgp: DgpSpec, rng: Optional[RngStream]) -> Iterator[FrozenDraws]:

@@ -248,6 +248,11 @@ class TestValidation:
         with pytest.raises(SpecError):
             generate(log_dgp(), -0.74, 0, RngStream(0))
 
+    def test_a_non_integral_size_is_refused(self):
+        # it used to give 2 rows
+        with pytest.raises(SpecError, match="dataset size must be an integer, got 2.5"):
+            generate(log_dgp(), 0.0, 2.5, RngStream(1))
+
 class TestGrandMeanUnbiased:
     def test_replicate_grand_mean_matches_expectation(self):
         dgp = log_dgp(extra=(Term("d", Bernoulli(0.8), 0.5),))

@@ -128,12 +128,6 @@ class TestRngStream:
             assert got.bit_generator.state == expected.bit_generator.state == chained.generator().bit_generator.state
             assert got.random(3).tolist() == expected.random(3).tolist()
 
-    def test_a_slice_of_rows_is_those_rows(self):
-        block = RngStream(3, (8,)).rows(range(5)).child(1)
-        states = [g.bit_generator.state for g in block.generators()]
-        assert [g.bit_generator.state for g in block[1:4].generators()] == states[1:4]
-        assert len(block[3:9]) == 2
-
     def test_row_indices_are_checked_as_child_checks_them(self):
         with pytest.raises(TypeError):
             RngStream(0).rows([1, 2.5])
@@ -180,12 +174,32 @@ class TestRngStream:
         with pytest.raises(SpecError):
             RngStream(0).child(2**64)
 
+    def test_a_float_seed_or_path_entry_is_refused_when_built(self):
+        with pytest.raises(TypeError):
+            RngStream(2.5)
+        with pytest.raises(TypeError):
+            RngStream(0, (2.5,))
+        with pytest.raises(TypeError):
+            RngStream(0, (1, np.float64(3.0)))
+
+    def test_a_list_path_is_kept_as_a_tuple(self):
+        s = RngStream(0, [3])
+        assert s.path == (3,)
+        assert s.child(1) == RngStream(0, (3, 1))
+        assert hash(s) == hash(RngStream(0, (3,)))
+
     def test_large_hash_sized_path_entries_work(self):
         v = RngStream(1, (2**64 - 1,)).generator().random(4)
         assert v.shape == (4,)
 
 
 class TestSampling:
+    @pytest.mark.parametrize("n", [2.5, "3", np.float64(4.0)])
+    def test_a_non_integral_size_is_refused(self, n):
+        # 2.5 used to give 2 draws
+        with pytest.raises(SpecError, match="sample size must be an integer"):
+            Normal(0.0, 1.0).sample(n, RngStream(1))
+
     def test_degenerate_bernoulli_all_ones(self):
         v = Bernoulli(1.0).sample(5, RngStream(0))
         assert v.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0]

@@ -111,6 +111,11 @@ class TestScenarioValidation:
         with pytest.raises(SpecError, match=f"scenario s: {name} must be an integer"):
             Scenario("s", self._dgp(), "log_closed_form", n=n, replicates=replicates, master_seed=0)
 
+    def test_a_non_integral_master_seed_is_refused_when_built(self):
+        # it used to reach the stream layer at run_scenario as a bare TypeError
+        with pytest.raises(SpecError, match="scenario s: master_seed must be an integer, got 2.5"):
+            run_scenario(Scenario("s", self._dgp(), "log_closed_form", n=10, replicates=2, master_seed=2.5))
+
     def test_numpy_integer_sizes_are_taken(self):
         s = Scenario("s", self._dgp(), "log_closed_form", n=np.int64(10), replicates=np.int32(3), master_seed=0)
         assert len(run_scenario(s).replicate_means) == 3
@@ -190,21 +195,42 @@ class TestReplicateWorkspace:
             assert peak < n * 8 // 2, outcome
 
     def test_solves_after_generation_at_another_n_reuse_the_solver_arrays(self):
-        import balint.expectation as expectation_mod
-
         dgp = DgpSpec((EXPOSURE, Term("z", Bernoulli(0.8), 1.0)), Log(), NormalOutcome(0.1), 0.5)
         s = Scenario(
             "mc", dgp, "numeric", n=100, replicates=2, master_seed=3, engine=MonteCarlo(5000)
         )
-        run_scenario(s)
-        solver_arrays = expectation_mod.WORKSPACE.arrays
-        replicate_arrays = harness_mod.REPLICATE_WORKSPACE.arrays
-        assert [a.size for a in solver_arrays] == [5000] * 3
-        # one block holds both replicates: rows * n elements per array
-        assert [a.size for a in replicate_arrays] == [2 * 100] * 3
-        run_scenario(s)
-        assert all(a is b for a, b in zip(expectation_mod.WORKSPACE.arrays, solver_arrays))
-        assert all(a is b for a, b in zip(harness_mod.REPLICATE_WORKSPACE.arrays, replicate_arrays))
+        sets = _workspace_sets_in_a_new_thread(lambda: run_scenario(s), lambda: run_scenario(s))
+        # one set of max(n_mc, rows * n) = max(5000, 2 * 100), lent to the solve and the block
+        assert [a.size for a in sets[0]] == [5000] * 3
+        assert all(a is b for a, b in zip(sets[1], sets[0]))
+
+    def test_a_solve_and_a_larger_block_share_one_set_of_the_larger_size(self):
+        import tracemalloc
+
+        dgp = DgpSpec((EXPOSURE, Term("z", Normal(0.0, 1.0), 1.0)), Log(), NormalOutcome(0.1), 0.3)
+        # n_mc above rows * n = 2 * 100, then rows * n = 1 * 100,000 above n_mc
+        solve_bound = Scenario("a", dgp, "numeric", n=100, replicates=2, master_seed=5, engine=MonteCarlo(40_000))
+        block_bound = Scenario("b", dgp, "numeric", n=100_000, replicates=2, master_seed=5, engine=MonteCarlo(2000))
+        results, peaks = [], []
+
+        def run_both():
+            results.append((run_scenario(solve_bound), run_scenario(block_bound)))
+
+        def repeat_both_traced():
+            for s in (solve_bound, block_bound):
+                tracemalloc.start()
+                try:
+                    results.append(run_scenario(s))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+
+        sets = _workspace_sets_in_a_new_thread(run_both, repeat_both_traced)
+        assert [a.size for a in sets[0]] == [100_000] * 3
+        assert all(a is b for a, b in zip(sets[1], sets[0]))
+        assert results[1:] == list(results[0])
+        # a new set would be three arrays of 40,000 or of 100,000 elements
+        assert max(peaks) < 100_000 * 8 // 2, peaks
 
     def test_replicates_equal_the_allocating_generate(self):
         dgp = DgpSpec((EXPOSURE, Term("z", Normal(0.0, 1.0), 3.0)), Log(), BernoulliOutcome(), 0.9)
@@ -215,6 +241,23 @@ class TestReplicateWorkspace:
         assert r.replicate_means == tuple(float(ds.outcome.mean()) for ds in fresh)
         assert r.clamp_rate == sum(ds.clamp_count for ds in fresh) / (6 * 500)
         assert r.clamp_rate > 0.0
+
+
+def _workspace_sets_in_a_new_thread(*steps):
+    """expectation.WORKSPACE's arrays after each step, run in order on one new thread, whose set starts empty."""
+    sets = []
+
+    def run():
+        for step in steps:
+            step()
+            sets.append(expectation_mod.WORKSPACE.arrays)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert len(sets) == len(steps)
+    return sets
 
 
 _BLOCK_TERMS = [
@@ -344,6 +387,12 @@ class TestGridValidation:
     def test_negative_workers(self):
         with pytest.raises(ConfigError, match="workers"):
             small_grid(workers=-1)
+
+    @pytest.mark.parametrize("field, value", [("master_seed", 2.5), ("workers", 1.5), ("master_seed", "7")])
+    def test_a_non_integral_seed_or_worker_count_is_a_config_error(self, field, value):
+        # run_grid used to raise a bare TypeError, from the stream layer or the process pool
+        with pytest.raises(ConfigError, match=f"{field}.* must be an integer, got {value!r}"):
+            run_grid(small_grid(**{field: value}))
 
 
 class TestExpandGrid:
