@@ -5,9 +5,10 @@ continuous one also reports its mean and evaluates its moment generating
 function where one exists. The MGF is what the log-link intercept solver
 consumes; where E[exp(tX)] is infinite (Cauchy everywhere except t=0, and
 gamma outside t < rate) it raises MgfDomainError, which the solver reports as
-a balancing intercept that does not exist. A categorical's moments depend on
-its coding and coefficient block, so its term computes them (intercept.Term).
-Every parameter must be finite.
+a balancing intercept that does not exist. A finite one (Bernoulli,
+categorical) reports only its support, its values and their probabilities;
+its term's mean and exponential moment are sums over those points
+(intercept.Term.points). Every parameter must be finite.
 
 Randomness is addressed, never ambient: every sampling entry point takes an
 RngStream, a small immutable descriptor (master seed plus derivation path)
@@ -229,14 +230,6 @@ class Bernoulli:
         # uniform draws are in [0, 1), so p=1 yields all ones and p=0 all zeros
         u = draw_rows(n, rng, out, lambda g, row: g.random(row.size, out=row))
         return np.less(u, self.p, out=u)
-
-    def mean(self) -> float:
-        return float(self.p)
-
-    def mgf(self, t: float) -> float:
-        if self.p == 0.0:  # exp(t) may overflow, and 0 * exp(t) is 0
-            return 1.0
-        return 1.0 - self.p + self.p * math.exp(t)
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([0.0, 1.0]), np.array([1.0 - self.p, self.p])

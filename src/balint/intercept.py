@@ -9,8 +9,9 @@ its target:
                         solution is flagged.
   solve_log_closed_form beta0 = log(target) - sum_j log E[exp(beta_j X_j)],
                         exact for the log link with independent covariates,
-                        using coded-categorical expectations and MGFs; a term
-                        without an MGF is refused under either engine.
+                        from sums over finite terms' points and continuous
+                        terms' MGFs; a term without an MGF is refused under
+                        either engine.
   solve_numeric         bracketed bisection on beta0 -> E[g^-1(beta0 + eta)],
                         the route for logit and for anything without a closed
                         form. Monotone because g^-1 is strictly increasing.
@@ -202,12 +203,14 @@ class Term:
         return np.multiply(self.beta, values, out=out)
 
     @cached_property
-    def points(self) -> tuple[np.ndarray, np.ndarray]:
-        """A finite spec's support as (this term's share of eta, probability), in support order.
+    def points(self) -> tuple[tuple[float, float], ...]:
+        """A finite spec's support as (this term's share of eta, probability) float pairs, in support order.
 
-        Points of probability 0 are left out: such a point adds nothing to a
-        mean or a moment, and its share may overflow to make it 0 * inf. Built
-        once per term and shared by every caller, so both arrays are read-only.
+        The only description of a finite covariate: its term's mean and
+        exponential moment and exact enumeration all read it. Points of
+        probability 0 are left out: such a point adds nothing to a mean or a
+        moment, and its share may overflow to make it 0 * inf. Built once per
+        term and shared by every caller.
         """
         if not hasattr(self.spec, "support"):
             raise EngineMismatchError(
@@ -215,16 +218,15 @@ class Term:
                 "needs finite supports"
             )
         values, pr = self.spec.support()
-        points = self.eta(values[pr > 0.0]), pr[pr > 0.0]
-        for a in points:
-            a.flags.writeable = False
-        return points
+        return tuple(zip(self.eta(values[pr > 0.0]).tolist(), pr[pr > 0.0].tolist()))
 
     def mean(self) -> float:
         """E[beta' X]; raises, naming the term, where the mean does not exist."""
-        if isinstance(self.spec, Categorical):
-            etas, probs = self.points
-            return float(sum(p * e for e, p in zip(etas.tolist(), probs.tolist())))
+        if hasattr(self.spec, "support"):
+            total = 0.0
+            for e, p in self.points:
+                total += p * e
+            return total
         try:
             return self.beta * self.spec.mean()
         except UndefinedMomentError as e:
@@ -236,9 +238,11 @@ class Term:
         Raises, naming the term, where no moment exists.
         """
         try:
-            if isinstance(self.spec, Categorical):
-                etas, probs = self.points
-                return float(sum(p * math.exp(scale * e) for e, p in zip(etas.tolist(), probs.tolist())))
+            if hasattr(self.spec, "support"):
+                total = 0.0
+                for e, p in self.points:
+                    total += p * math.exp(scale * e)
+                return total
             return self.spec.mgf(scale * self.beta)
         except MgfDomainError as e:
             raise MgfDomainError(f"term '{self.name}': {e}") from None
@@ -322,18 +326,21 @@ class ExactEnumeration:
     def expectation(self, dgp: DgpSpec, rng: Optional[RngStream]) -> Iterator[Enumerated]:
         """The mean over every attainable value of eta - beta0, from each term's points.
 
-        rng is not used.
+        A combined point whose probability, the product of its terms', underflows
+        to 0 is left out, as Term.points leaves out a point of probability 0: it
+        adds nothing, and its eta may overflow to make it 0 * inf. rng is not used.
         """
-        etas = np.zeros(1)
-        probs = np.ones(1)
+        etas, probs = np.zeros(1), np.ones(1)
         for term in dgp.terms:
-            contrib, pr = term.points
+            contrib, pr = np.array(term.points).T
             if etas.size * contrib.size > MAX_ENUM_SUPPORT:
                 raise EngineMismatchError(
                     f"combined covariate support exceeds {MAX_ENUM_SUPPORT} points"
                 )
             etas = (etas[:, None] + contrib[None, :]).ravel()
             probs = (probs[:, None] * pr[None, :]).ravel()
+        if not probs.all():
+            etas, probs = etas[probs > 0.0], probs[probs > 0.0]
         yield Enumerated(dgp.link, etas, probs)
 
 
@@ -425,8 +432,8 @@ def solve_log_closed_form(dgp: DgpSpec) -> InterceptSolution:
     """beta0 = log(target) - sum_j log E[exp(beta_j X_j)], log link only.
 
     Valid because independent covariates factor the expectation into a product
-    of per-term exponential moments, each from the coded categorical
-    expectation or the MGF. A term whose moment is infinite (no MGF, or t
+    of per-term exponential moments, each a sum over a finite term's points
+    (Term.points) or a continuous term's MGF. A term whose moment is infinite (no MGF, or t
     outside the MGF's domain) has no balancing intercept, and the error names
     it; no engine changes that, so the solver takes none.
     """

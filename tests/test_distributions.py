@@ -370,7 +370,8 @@ class TestCategoricalThresholdCount:
 
 class TestMean:
     def test_bernoulli(self):
-        assert Bernoulli(0.8).mean() == 0.8
+        # a finite spec's mean is its term's, a sum over the term's points
+        assert Term("b", Bernoulli(0.8), 1.0).mean() == 0.8
 
     def test_uniform_midpoint(self):
         assert UniformContinuous(-1.0, 3.0).mean() == 1.0
@@ -381,6 +382,11 @@ class TestMean:
     def test_cauchy_has_no_mean(self):
         with pytest.raises(UndefinedMomentError):
             Cauchy(0.0, 1.0).mean()
+
+
+def exp_moment(spec, t):
+    """E[exp(tX)]: a finite spec's from its term's points (Term.exp_moment), a continuous one's MGF."""
+    return Term("x", spec, 1.0).exp_moment(t) if hasattr(spec, "support") else spec.mgf(t)
 
 
 class TestMgf:
@@ -395,7 +401,7 @@ class TestMgf:
         ],
     )
     def test_t_zero_is_one(self, spec):
-        assert spec.mgf(0.0) == 1.0
+        assert exp_moment(spec, 0.0) == 1.0
 
     def test_normal_standard_at_one(self):
         assert Normal(0.0, 1.0).mgf(1.0) == pytest.approx(NORMAL01_MGF_1, rel=1e-14)
@@ -415,16 +421,15 @@ class TestMgf:
         assert UniformContinuous(a, b).mgf(t) == pytest.approx(series, rel=1e-15)
 
     def test_bernoulli_two_point_form(self):
-        assert Bernoulli(0.35).mgf(1.3) == pytest.approx(
+        assert Term("b", Bernoulli(0.35), 1.3).exp_moment() == pytest.approx(
             0.65 + 0.35 * math.exp(1.3), rel=1e-14
         )
 
     def test_bernoulli_without_mass_at_one(self):
         # exp(800) overflows a double, but a point of probability 0 adds nothing
-        assert Bernoulli(0.0).mgf(800.0) == 1.0
-        assert Bernoulli(0.0).mgf(-800.0) == 1.0
-        with pytest.raises(OverflowError):
-            Bernoulli(1e-300).mgf(800.0)
+        assert Term("b", Bernoulli(0.0), 800.0).exp_moment() == 1.0
+        assert Term("b", Bernoulli(0.0), -800.0).exp_moment() == 1.0
+        assert Term("b", Bernoulli(1e-300), 800.0).exp_moment() == math.inf
 
     def test_gamma_domain_error(self):
         with pytest.raises(MgfDomainError):
@@ -468,13 +473,13 @@ class TestJensenDirection:
         spec, t = case
         # strict for every nondegenerate distribution and t != 0; |t| >= 1e-3
         # keeps the gap, which is O(var * t^2), above float resolution
-        assert spec.mgf(t) > math.exp(t * spec.mean())
+        assert exp_moment(spec, t) > math.exp(t * Term("x", spec, 1.0).mean())
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_degenerate_bernoulli_equality(self, p):
-        spec = Bernoulli(p)
         for t in (-1.0, 0.5, 2.0):
-            assert spec.mgf(t) == pytest.approx(math.exp(t * spec.mean()), rel=1e-15)
+            term = Term("b", Bernoulli(p), t)
+            assert term.exp_moment() == pytest.approx(math.exp(term.mean()), rel=1e-15)
 
 
 def mc_exp_moment(terms, n, rng):

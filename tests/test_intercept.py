@@ -498,11 +498,9 @@ class TestZeroProbabilityPoints:
         assert probs.tolist() == [1.0]
 
     def test_points_leave_the_point_out_and_are_read_only(self, term):
-        etas, probs = term.points
-        assert etas.tolist() == [0.0]
-        assert probs.tolist() == [1.0]
-        with pytest.raises(ValueError, match="read-only"):
-            etas[0] = 1.0
+        # (share of eta, probability) float pairs, in a tuple, which cannot be written to
+        assert term.points == ((0.0, 1.0),)
+        assert type(term.points) is tuple
 
     def test_log_closed_form(self, term):
         sol = solve_log_closed_form(self.dgp(term))
