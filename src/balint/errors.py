@@ -48,4 +48,4 @@ class NoRootError(InfeasibleError):
 
 
 class OutOfRangeError(InfeasibleError):
-    """A bounded outcome's model-implied mean left its valid range."""
+    """An outcome's model-implied mean left its valid range: outside [0, 1] (Bernoulli), or not finite."""

@@ -86,8 +86,22 @@ MAX_BISECTIONS = 200
 MAX_ENUM_SUPPORT = 1_000_000
 
 
+def _reject_first(mu: np.ndarray, eta: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """Raise OutOfRangeError naming the first row where bad holds, its mean and its eta; else nothing.
+
+    Over a block of datasets (mu of shape (rows, n)) the row is the first in
+    the first dataset that has one, its index counted within that dataset.
+    """
+    k = int(np.argmax(bad))  # the first such row, else 0
+    if bad.flat[k]:
+        row, m, e = k % mu.shape[-1], mu.flat[k], eta.flat[k]
+        raise OutOfRangeError(f"row {row}: mean {m:.6g} {what} (eta = {e:.6g}); generation rejected")
+
+
 @dataclass(frozen=True)
 class NormalOutcome:
+    """A normal outcome around mu: draw refuses a mean that is not finite, naming row and eta."""
+
     sd: float
     family = "normal"
     domain = (-math.inf, math.inf)
@@ -97,7 +111,14 @@ class NormalOutcome:
             raise SpecError(f"normal outcome sd must be positive and finite, got {self.sd}")
 
     def draw(self, mu: np.ndarray, eta: np.ndarray, rng: Streams, out: np.ndarray):
-        """(mu + sd * z into out, 0 clamped), bit for bit numpy's normal(mu, sd) from rng."""
+        """(mu + sd * z into out, 0 clamped), bit for bit numpy's normal(mu, sd) from rng.
+
+        One sum of mu tells whether every mean is finite; only where it is not
+        are the rows searched, as a sum of finite means may overflow too.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not math.isfinite(np.add.reduce(mu, axis=None)):
+                _reject_first(mu, eta, ~np.isfinite(mu), "is not finite")
         z = draw_rows(mu.shape[-1], rng, out, lambda g, row: g.standard_normal(row.size, out=row))
         return np.add(np.multiply(z, self.sd, out=z), mu, out=z), 0
 
@@ -110,10 +131,9 @@ class BernoulliOutcome:
     """A Bernoulli outcome: draw gives 1.0 where a uniform in [0, 1) falls below mu, else 0.0.
 
     clamp names what draw does with a mean outside [0, 1]: clamp_to_unit clips it in eta and
-    counts those rows (draw's second value), reject_out_of_range refuses it, naming row and eta.
-    Over a block of datasets (mu of shape (rows, n)) the count is the block's, and the row
-    refused is the first in the first dataset that has one, its index counted within that
-    dataset. The masks are taken in out before the uniforms are drawn there.
+    counts those rows (draw's second value), reject_out_of_range refuses it, naming row and eta
+    (_reject_first). Over a block of datasets (mu of shape (rows, n)) the count is the block's.
+    The masks are taken in out before the uniforms are drawn there.
     """
 
     clamp: str = "clamp_to_unit"
@@ -133,12 +153,7 @@ class BernoulliOutcome:
         else:
             below = np.less(mu, 0.0, out=scratch_view(out, np.bool_, mu.shape))
             above = np.greater(mu, 1.0, out=scratch_view(out, np.bool_, mu.shape, mu.size))
-            k = int(np.argmax(np.logical_or(below, above, out=below)))  # the first such row, else 0
-            m, e = mu.flat[k], eta.flat[k]
-            if m < 0.0 or m > 1.0:
-                raise OutOfRangeError(
-                    f"row {k % mu.shape[-1]}: mean {m:.6g} outside [0, 1] (eta = {e:.6g}); generation rejected"
-                )
+            _reject_first(mu, eta, np.logical_or(below, above, out=below), "outside [0, 1]")
         u = draw_rows(mu.shape[-1], rng, out, lambda g, row: g.random(row.size, out=row))
         return np.less(u, p, out=u), clamp_count
 
@@ -433,9 +448,9 @@ def solve_log_closed_form(dgp: DgpSpec) -> InterceptSolution:
 
     Valid because independent covariates factor the expectation into a product
     of per-term exponential moments, each a sum over a finite term's points
-    (Term.points) or a continuous term's MGF. A term whose moment is infinite (no MGF, or t
-    outside the MGF's domain) has no balancing intercept, and the error names
-    it; no engine changes that, so the solver takes none.
+    (Term.points) or a continuous term's MGF. A term whose moment is infinite
+    (no MGF, or t outside the MGF's domain) has no balancing intercept, and
+    the error names it; no engine changes that, so the solver takes none.
     """
     if dgp.link.name != Log.name:
         raise WrongLinkError(f"the closed form solves the log link only, got '{dgp.link.name}'")

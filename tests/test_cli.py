@@ -17,6 +17,7 @@ import yaml
 from hypothesis import assume, given, settings, strategies as st
 
 import balint
+import balint.cli as cli_mod
 import balint.harness as harness_mod
 from balint import (
     CLAMPS,
@@ -28,6 +29,7 @@ from balint import (
     ConfigError,
     DgpSpec,
     Engine,
+    Error,
     ExactEnumeration,
     Gamma,
     GridConfig,
@@ -75,6 +77,19 @@ replicates: 4
 master_seed: 5
 solver: log_closed_form
 """
+
+GAMMA_DGP_DOC = DGP_DOC.replace(
+    "betas: [0.2, -0.2]}", "betas: [0.2, -0.2]}\n  - {name: g, dist: gamma, shape: 1.0, rate: 1.5, beta: 2.0}"
+)
+# the linear scale's beta0 under the log link, log(0.5), puts eta = log(0.5) + 264.1 z past
+# exp's range for some rows: their normal outcome's mean is inf
+OVERFLOW_GRID_DOC = (
+    GRID_DOC.replace("{name: z, dist: bernoulli, p: 0.8}", "{name: z, dist: normal, mu: 0.0, sigma: 4.35}")
+    .replace("  - {name: z, dist: normal, mu: 0.0, sigma: 1.0}\n", "")
+    .replace("beta2_axis: [1.0]", "beta2_axis: [264.1]")
+    .replace("target_axis: [0.3, 0.5]", "target_axis: [0.5]")
+    .replace("solver: log_closed_form", "solver: linear_scale")
+)
 
 # DGP_DOC's exposure, and GRID_DOC's
 EXPOSURE = Term("x", Categorical(probs=(0.5, 0.35, 0.15)), (0.2, -0.2))
@@ -958,6 +973,17 @@ class TestSimulateCommand:
             else:
                 assert r["status"] == "ok"
 
+    def test_a_cell_whose_normal_mean_overflows_is_an_error_row(self, capsys, tmp_path):
+        path, out = tmp_path / "grid.yaml", tmp_path / "rows.csv"
+        path.write_text(OVERFLOW_GRID_DOC)
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        with out.open() as f:
+            (row,) = csv.DictReader(f)
+        assert row["status"] == "error"
+        assert row["warnings"].startswith("OutOfRangeError: row ")
+        assert "mean inf is not finite" in row["warnings"]
+        assert "1 failed" in capsys.readouterr().err
+
     def test_cauchy_cells_are_skipped_like_divergent_gamma(self, capsys, grid_config, tmp_path):
         # both E[exp(2 Z)] are infinite, so neither cell has a balancing intercept
         doc = load_config(grid_config)
@@ -1189,6 +1215,60 @@ class TestUsageErrors:
         path.write_text(DGP_DOC.replace("target_mean: 0.5", "target_mean: -0.5"))
         assert main(["solve", "--config", str(path)]) == 2
         assert "target_mean" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """main over written configs returns the raised Error's exit_code, 0 or 3 where none is raised, and no traceback."""
+
+    @pytest.mark.parametrize(
+        "command,doc,extra,code",
+        [
+            ("solve", DGP_DOC, [], 0),
+            ("solve", DGP_DOC + "colour: blue\n", [], 1),
+            ("solve", GAMMA_DGP_DOC, [], 2),
+            ("solve", DGP_DOC.replace("target_mean: 0.5", "target_mean: -0.5"), [], 2),
+            ("verify", DGP_DOC, ["--beta0", repr(LOG_BETA0)], 0),
+            ("verify", DGP_DOC, ["--beta0", "0.0"], 3),
+            ("verify", DGP_DOC, ["--beta0", "0.0", "--tol", "-1"], 1),
+            ("verify", GAMMA_DGP_DOC, ["--beta0", "0.0"], 2),
+            ("simulate", GRID_DOC, [], 0),
+            ("simulate", GRID_DOC.replace("replicates: 4", "replicates: 1"), [], 1),
+            ("simulate", GRID_DOC.replace("target_axis: [0.3, 0.5]", "target_axis: [0.3, -0.5]"), [], 2),
+            ("simulate", OVERFLOW_GRID_DOC, [], 0),
+        ],
+        ids=[
+            "solve",
+            "solve-unknown-key",
+            "solve-divergent-moment",
+            "solve-target-outside-link",
+            "verify",
+            "verify-gap",
+            "verify-negative-tol",
+            "verify-divergent-moment",
+            "simulate",
+            "simulate-one-replicate",
+            "simulate-target-outside-link",
+            "simulate-error-cell",
+        ],
+    )
+    def test_exit_code_is_the_raised_errors(self, capsys, monkeypatch, tmp_path, command, doc, extra, code):
+        raised = []
+        run = getattr(cli_mod, f"cmd_{command}")
+
+        def recording(args):
+            try:
+                return run(args)
+            except Error as e:
+                raised.append(e)
+                raise
+
+        monkeypatch.setattr(cli_mod, f"cmd_{command}", recording)
+        path = tmp_path / "config.yaml"
+        path.write_text(doc)
+        out = ["--out", str(tmp_path / "rows.csv")] if command == "simulate" else []
+        assert main([command, "--config", str(path), *extra, *out]) == code
+        assert [e.exit_code for e in raised] == ([] if code in (0, 3) else [code])
+        assert "Traceback" not in capsys.readouterr().err
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

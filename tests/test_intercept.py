@@ -170,6 +170,20 @@ class TestOutcomeDraw:
         u = RngStream(2).generator().random(5)
         assert y.tolist() == (u < eta).astype(float).tolist()
 
+    def test_normal_refuses_a_mean_that_is_not_finite(self):
+        mu, eta = np.array([0.5, math.inf, 2.0, math.nan]), np.array([-0.7, 710.0, 0.7, math.nan])
+        with pytest.raises(OutOfRangeError, match=r"row 1: mean inf is not finite \(eta = 710\)"):
+            NormalOutcome(0.4).draw(mu, eta, RngStream(2), np.empty(4))
+        with pytest.raises(OutOfRangeError, match=r"row 1: mean nan is not finite \(eta = nan\)"):
+            NormalOutcome(0.4).draw(mu[2:].reshape(1, 2), eta[2:].reshape(1, 2), RngStream(2).rows([0]), np.empty((1, 2)))
+
+    def test_normal_draws_finite_means_whose_sum_overflows(self):
+        mu, out = np.full(3, 1e308), np.empty(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, _ = NormalOutcome(1.0).draw(mu, mu, RngStream(2), out)
+        assert y.tobytes() == RngStream(2).generator().normal(mu, 1.0).tobytes()
+
     def test_reject_names_the_first_row_and_its_eta(self):
         eta = np.arange(5.0)
         with pytest.raises(OutOfRangeError, match=r"row 0: mean -0\.25 outside \[0, 1\] \(eta = 0\)"):
@@ -195,6 +209,22 @@ class TestTermMoments:
         assert Term("z", Normal(0.0, 1.0), 40.0).exp_moment() == math.inf
         assert Term("c", Categorical(probs=(0.5, 0.5)), (800.0,)).exp_moment() == math.inf
         assert Term("c", Categorical(probs=(0.0, 1.0)), (-800.0,)).exp_moment() == 0.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-300]), st.floats(0.0, 1.0)),
+        st.one_of(st.floats(-3.0, 3.0), st.floats(-800.0, 800.0)),
+        st.sampled_from([1.0, 2.0]),
+    )
+    def test_bernoulli_sums_over_points_are_the_two_point_formulas_to_the_bit(self, p, beta, scale):
+        # the formula a Bernoulli spec once had for its own MGF, kept as the reference
+        try:
+            reference = 1.0 if p == 0.0 else 1.0 - p + p * math.exp(scale * beta)
+        except OverflowError:
+            reference = math.inf
+        term = Term("b", Bernoulli(p), beta)
+        assert term.exp_moment(scale).hex() == reference.hex()
+        assert term.mean() == beta * p
 
     def test_missing_moments_name_the_term(self):
         with pytest.raises(UndefinedMomentError, match="term 'c'"):
@@ -915,20 +945,20 @@ def _finite_or_error(call, finite) -> None:
 class TestNoRouteWarnsOrCrashes:
     """Each solver, the mean at its beta0 and a dataset drawn from it return finite values or raise an Error.
 
-    Two routes are left out, because they fail today:
-      - the numeric solver under exact enumeration: a support point whose
-        probability underflows to 0 while its eta overflows makes
-        Enumerated.mean take 0 * inf and warn;
-      - generate at the linear scale's beta0: under the log link a normal
-        outcome's mean can overflow to inf, and the outcome with it,
-        unrefused.
+    Every route is taken: the linear scale, the log closed form, and the
+    numeric solver under exact enumeration and under Monte Carlo.
     """
 
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(_edge_dgps())
     def test_solve_mean_and_generate(self, case):
         dgp, rng = case
-        routes = [("linear_scale", ExactEnumeration()), ("log_closed_form", ExactEnumeration()), ("numeric", MonteCarlo(500))]
+        routes = [
+            ("linear_scale", ExactEnumeration()),
+            ("log_closed_form", ExactEnumeration()),
+            ("numeric", ExactEnumeration()),
+            ("numeric", MonteCarlo(500)),
+        ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for method, engine in routes:
@@ -940,10 +970,33 @@ class TestNoRouteWarnsOrCrashes:
                 _finite_or_error(
                     lambda: expectation_of_mean(sol.beta0, dgp, engine, rng.child(0))[0], math.isfinite
                 )
-                if method != "linear_scale":
-                    _finite_or_error(
-                        lambda: generate(dgp, sol.beta0, 100, rng.child(1)).outcome, lambda v: np.isfinite(v).all()
-                    )
+                _finite_or_error(
+                    lambda: generate(dgp, sol.beta0, 100, rng.child(1)).outcome, lambda v: np.isfinite(v).all()
+                )
+
+    def test_enumeration_leaves_out_a_point_whose_probability_underflows(self):
+        # 0.5 * 5e-324 rounds to 0, and that point's eta, 457, overflows exp at the
+        # bracket's far end: kept, it made Enumerated.mean take 0 * inf and warn
+        dgp = DgpSpec(
+            (Term("x0", Bernoulli(0.5), 157.0), Term("x1", Bernoulli(5e-324), 300.0)), Log(), NormalOutcome(1.0), 0.1
+        )
+        assert _support(dgp)[1].tolist() == [0.5, 0.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(dgp, "numeric")
+        assert sol.beta0 == pytest.approx(solve_log_closed_form(dgp).beta0, abs=1e-10)
+
+    def test_generate_refuses_a_normal_outcome_mean_that_overflows(self):
+        # under the log link the linear scale's beta0 (210.09) puts some rows' mean past a double
+        dgp = DgpSpec(
+            (Term("a", Normal(1.2e-07, 4.35), 264.1), Term("b", UniformContinuous(4.583, 4.612), -51.6)),
+            Log(),
+            NormalOutcome(1.0),
+            1.64e-12,
+        )
+        beta0 = solve_linear_scale(dgp).beta0
+        with pytest.raises(OutOfRangeError, match=r"row \d+: mean inf is not finite \(eta = .*\); generation rejected"):
+            generate(dgp, beta0, 100, RngStream(2298043).child(1))
 
 
 class TestDispatcher:
