@@ -8,7 +8,8 @@ gamma outside t < rate) it raises MgfDomainError, which the solver reports as
 a balancing intercept that does not exist. A finite one (Bernoulli,
 categorical) reports only its support, its values and their probabilities;
 its term's mean and exponential moment are sums over those points
-(intercept.Term.points). Every parameter must be finite.
+(intercept.Term.points). Every parameter must be a finite number
+(check_real): a bool, a string or None is refused, not converted.
 
 Randomness is addressed, never ambient: every sampling entry point takes an
 RngStream, a small immutable descriptor (master seed plus derivation path)
@@ -32,6 +33,7 @@ there), so that a draw allocates nothing of size n.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -174,9 +176,7 @@ def _u32_words(value: int) -> list[int]:
 
 def _check_finite(spec) -> None:
     for f in fields(spec):
-        value = getattr(spec, f.name)
-        if not math.isfinite(value):
-            raise SpecError(f"{spec.kind} {f.name} must be finite, got {value}")
+        check_real(getattr(spec, f.name), f"{spec.kind} {f.name}")
 
 
 def check_int(value, name: str, least: int, error: type[SpecError] = SpecError) -> int:
@@ -190,6 +190,30 @@ def check_int(value, name: str, least: int, error: type[SpecError] = SpecError) 
         raise error(f"{name} must be an integer, got {value!r}") from None
     if value < least:
         raise error(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number: an int, a float or a numpy scalar of either, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_real(value, name: str, error: type[SpecError] = SpecError) -> float:
+    """float(value), refused by an error naming it where value is not a real number or not finite.
+
+    A bool, a string, None or an array is refused, not converted; numpy scalars are taken.
+    """
+    if not is_real(value):
+        raise error(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+    return float(value)
+
+
+def check_choice(value, choices, what: str, error: type[SpecError] = SpecError):
+    """value, refused by an error naming what it is where it is not one of choices."""
+    if value not in choices:
+        raise error(f"unknown {what} '{value}' (expected one of {sorted(choices)})")
     return value
 
 
@@ -368,16 +392,17 @@ class Categorical:
     kind = "categorical"
 
     def __post_init__(self) -> None:
-        pr = np.asarray(self.probs, dtype=float)
-        if pr.ndim != 1 or pr.size < 1:
+        if np.ndim(self.probs) != 1 or not len(self.probs):
             raise SpecError("categorical: probs must be a nonempty vector")
+        if not all(map(is_real, self.probs)):
+            raise SpecError(f"categorical: probs must be numbers, got {self.probs!r}")
+        pr = np.asarray(self.probs, dtype=float)
         # written so that a NaN fails each test
         if not np.all((0.0 <= pr) & (pr <= 1.0)):
             raise SpecError(f"categorical: probs must lie in [0, 1], got {pr.tolist()}")
         if not abs(float(pr.sum()) - 1.0) <= 1e-12:
             raise SpecError("categorical: probabilities must sum to 1 within 1e-12")
-        if self.coding not in CODINGS:
-            raise SpecError(f"unknown coding scheme '{self.coding}' (expected one of {sorted(CODINGS)})")
+        check_choice(self.coding, CODINGS, "coding scheme")
         if self.coding == "weighted_effect" and pr[0] == 0.0:
             raise SpecError("weighted effect coding requires a reference level with nonzero probability")
         object.__setattr__(self, "probs", tuple(float(v) for v in pr))

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .datagen import generate
-from .distributions import CovariateSpec, RngStream, check_int
+from .distributions import CovariateSpec, RngStream, check_choice, check_int, check_real
 from .errors import ConfigError, Error, MgfDomainError, SpecError, UndefinedMomentError
 from .expectation import WORKSPACE
 from .intercept import (
@@ -79,11 +79,7 @@ class Scenario:
         # a standard error needs at least 2 replicates
         check_int(self.replicates, f"scenario {self.id}: replicates", 2)
         check_int(self.master_seed, f"scenario {self.id}: master_seed", 0)
-        if self.solver not in SOLVER_NAMES:
-            raise SpecError(
-                f"scenario {self.id}: unknown solver '{self.solver}' "
-                f"(expected one of {SOLVER_NAMES})"
-            )
+        check_choice(self.solver, SOLVER_NAMES, "solver")
 
     @property
     def stream(self) -> RngStream:
@@ -198,11 +194,10 @@ class GridConfig:
         for axis in ("beta2_axis", "target_axis"):
             seen = set()
             for v in getattr(self, axis):
-                if not math.isfinite(v):
-                    raise ConfigError(f"{axis} must hold finite values, got {v}")
-                if float(v) in seen:
-                    raise ConfigError(f"{axis} repeats the value {float(v)}")
-                seen.add(float(v))
+                v = check_real(v, axis, ConfigError)
+                if v in seen:
+                    raise ConfigError(f"{axis} repeats the value {v}")
+                seen.add(v)
         # refused here, not by each cell's RngStream, which would make every row an error
         if check_int(self.master_seed, "master_seed", 0, ConfigError) >= 2**64:
             raise ConfigError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}")
@@ -367,9 +362,9 @@ _CELL_TEXT = {
 _ROW_TEXT = tuple((f.name, _CELL_TEXT[f.type]) for f in fields(GridRow))
 
 
-def write_csv(rows: list[GridRow], destination: Union[str, io.TextIOBase]) -> None:
-    """Result CSV: pinned column order, floats at 9 significant digits, LF."""
-    if isinstance(destination, (str, bytes)):
+def write_csv(rows: list[GridRow], destination: Union[str, os.PathLike, io.TextIOBase]) -> None:
+    """Result CSV to a path or an open text file: pinned column order, floats at 9 significant digits, LF."""
+    if isinstance(destination, (str, bytes, os.PathLike)):
         with open(destination, "w", newline="") as f:
             write_csv(rows, f)
         return

@@ -43,7 +43,9 @@ from typing import ContextManager, Iterator, Literal, Optional, Sequence, Union,
 
 import numpy as np
 
-from .distributions import Categorical, CovariateSpec, RngStream, Streams, check_int, draw_rows, scratch_view
+from .distributions import (
+    Categorical, CovariateSpec, RngStream, Streams, check_choice, check_int, check_real, draw_rows, is_real, scratch_view
+)
 from .errors import (
     EngineMismatchError,
     InfeasibleError,
@@ -107,6 +109,8 @@ class NormalOutcome:
     domain = (-math.inf, math.inf)
 
     def __post_init__(self) -> None:
+        if not is_real(self.sd):
+            raise SpecError(f"normal outcome sd must be a number, got {self.sd!r}")
         if not 0.0 < self.sd < math.inf:
             raise SpecError(f"normal outcome sd must be positive and finite, got {self.sd}")
 
@@ -141,8 +145,7 @@ class BernoulliOutcome:
     domain = (0.0, 1.0)
 
     def __post_init__(self) -> None:
-        if self.clamp not in CLAMPS:
-            raise SpecError(f"unknown clamp policy '{self.clamp}' (expected one of {sorted(CLAMPS)})")
+        check_choice(self.clamp, CLAMPS, "clamp policy")
 
     def draw(self, mu: np.ndarray, eta: np.ndarray, rng: Streams, out: np.ndarray):
         p, clamp_count = mu, 0
@@ -177,12 +180,9 @@ class Term:
         if not isinstance(self.name, str) or not self.name:
             raise SpecError("term name must be a nonempty string")
         if isinstance(self.spec, Categorical):
-            try:
-                block = tuple(float(b) for b in self.beta)
-            except TypeError:
-                raise SpecError(
-                    f"term '{self.name}': categorical covariate needs a coefficient vector"
-                ) from None
+            if isinstance(self.beta, str) or not np.iterable(self.beta):
+                raise SpecError(f"term '{self.name}': categorical covariate needs a coefficient vector")
+            block = tuple(check_real(b, f"term '{self.name}': beta") for b in self.beta)
             if len(block) != self.spec.p - 1:
                 raise SpecError(
                     f"term '{self.name}': coefficient block has length {len(block)}, "
@@ -190,11 +190,7 @@ class Term:
                 )
             object.__setattr__(self, "beta", block)
         else:
-            if isinstance(self.beta, (tuple, list)):
-                raise SpecError(f"term '{self.name}': continuous covariate takes a scalar coefficient")
-            object.__setattr__(self, "beta", float(self.beta))
-        if not np.all(np.isfinite(self.betas)):
-            raise SpecError(f"term '{self.name}': beta must be finite, got {self.beta}")
+            object.__setattr__(self, "beta", check_real(self.beta, f"term '{self.name}': beta"))
 
     @property
     def betas(self) -> np.ndarray:
@@ -318,13 +314,11 @@ class DgpSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "target_mean", float(self.target_mean))
-        names = [t.name for t in self.terms]
+        t = check_real(self.target_mean, "target_mean")
+        object.__setattr__(self, "target_mean", t)
+        names = [term.name for term in self.terms]
         if len(set(names)) != len(names):
             raise SpecError(f"term names must be distinct, got {names}")
-        t = self.target_mean
-        if not math.isfinite(t):
-            raise SpecError(f"target_mean must be finite, got {t}")
         self.link.check(t, "target_mean")
         lo, hi = self.outcome.domain
         if not lo < t < hi:
@@ -617,6 +611,5 @@ def solve(
         return solve_linear_scale(dgp)
     if method == "log_closed_form":
         return solve_log_closed_form(dgp)
-    if method == "numeric":
-        return solve_numeric(dgp, engine=engine, tol=tol, rng=rng)
-    raise SpecError(f"unknown solver '{method}' (expected one of {SOLVER_NAMES})")
+    check_choice(method, SOLVER_NAMES, "solver")
+    return solve_numeric(dgp, engine=engine, tol=tol, rng=rng)

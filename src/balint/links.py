@@ -19,7 +19,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import LinkDomainError, MgfDomainError, SpecError
+from .distributions import check_choice
+from .errors import LinkDomainError, MgfDomainError
 
 __all__ = ["Identity", "Log", "Logit", "Link", "link_by_name"]
 
@@ -168,7 +169,4 @@ _LINKS = {cls.name: cls() for cls in (Identity, Log, Logit)}
 
 
 def link_by_name(name: str) -> Link:
-    try:
-        return _LINKS[name]
-    except KeyError:
-        raise SpecError(f"unknown link '{name}' (expected one of {sorted(_LINKS)})") from None
+    return _LINKS[check_choice(name, _LINKS, "link")]

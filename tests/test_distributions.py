@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,37 @@ class TestSampling:
         for field in params:
             with pytest.raises(SpecError, match=f"{cls.kind} {field} must be finite"):
                 cls(**{**params, field: bad})
+
+    @pytest.mark.parametrize("bad", ["1", True, None, np.array(1.0)], ids=["str", "bool", "none", "array"])
+    @pytest.mark.parametrize(
+        "cls, params",
+        [
+            (Bernoulli, {"p": 0.5}),
+            (UniformContinuous, {"a": -1.0, "b": 1.0}),
+            (Normal, {"mu": 0.0, "sigma": 1.0}),
+            (Gamma, {"shape": 1.0, "rate": 1.5}),
+            (Cauchy, {"location": 0.0, "scale": 1.0}),
+        ],
+        ids=lambda v: getattr(v, "kind", None),
+    )
+    def test_non_numeric_parameters_rejected_by_name(self, cls, params, bad):
+        # "1" used to raise a bare TypeError, and True was taken as 1.0
+        for field in params:
+            with pytest.raises(SpecError, match=re.escape(f"{cls.kind} {field} must be a number, got {bad!r}")):
+                cls(**{**params, field: bad})
+
+    def test_numpy_scalar_parameters_taken_as_they_are(self):
+        spec = Normal(np.float64(0.5), np.int64(2))
+        assert spec.mu == 0.5 and spec.sigma == 2 and type(spec.sigma) is np.int64
+
+    @pytest.mark.parametrize("probs", [("0.5", "0.5"), (True, False), (True, 0.0), (0.5, None, 0.5)])
+    def test_non_numeric_probs_rejected(self, probs):
+        # the first three used to be converted by numpy and taken
+        with pytest.raises(SpecError, match="categorical: probs must be numbers"):
+            Categorical(probs=probs)
+
+    def test_numpy_scalar_probs_taken(self):
+        assert Categorical(probs=(np.float64(0.25), np.int64(0), 0.75)).probs == (0.25, 0.0, 0.75)
 
     @pytest.mark.parametrize("probs", [(), ((0.5, 0.5),)])
     def test_probs_not_a_nonempty_vector_rejected(self, probs):

@@ -384,6 +384,21 @@ class TestGridValidation:
         with pytest.raises(ConfigError, match=message):
             small_grid(**axes)
 
+    @pytest.mark.parametrize("axis", ["beta2_axis", "target_axis"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(math.nan, "must be finite, got nan"), ("0.5", "must be a number, got '0.5'"), (True, "must be a number")],
+        ids=["nan", "str", "bool"],
+    )
+    def test_axis_value_not_a_finite_number(self, axis, bad, message):
+        # a string used to raise a bare TypeError, and True was taken as 1.0
+        with pytest.raises(ConfigError, match=f"{axis} {message}"):
+            small_grid(**{axis: (0.5, bad)})
+
+    def test_numpy_scalar_axis_values_taken(self):
+        cfg = small_grid(beta2_axis=(np.int64(1), np.float64(2.0)), target_axis=(np.float64(0.5),))
+        assert [c.scenario.id for c in expand_grid(cfg)][:2] == ["g/bernoulli/1.0/0.5", "g/bernoulli/2.0/0.5"]
+
     def test_negative_workers(self):
         with pytest.raises(ConfigError, match="workers"):
             small_grid(workers=-1)
@@ -759,7 +774,9 @@ class TestWriteCsv:
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "grid.csv"
-        write_csv(self._rows(), str(path))
-        raw = path.read_bytes()
-        assert b"\r" not in raw
-        assert raw.endswith(b"\n")
+        # a str path and a pathlib.Path (which used to raise TypeError) write the same bytes
+        for destination in (str(path), path):
+            write_csv(self._rows(), destination)
+            raw = path.read_bytes()
+            assert b"\r" not in raw
+            assert raw.endswith(b"\n")

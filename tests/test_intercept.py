@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import warnings
 from typing import get_args
 
@@ -100,6 +101,31 @@ class TestConstruction:
         with pytest.raises(SpecError, match="term 'x': beta must be finite"):
             Term("x", Categorical(probs=PROBS), (0.2, bad))
 
+    @pytest.mark.parametrize("bad", ["1", True, None, np.array(1.0)], ids=["str", "bool", "none", "array"])
+    def test_non_numeric_coefficients_rejected(self, bad):
+        # "1" used to become 1.0, True 1.0 and None a bare TypeError
+        with pytest.raises(SpecError, match=re.escape(f"term 'z': beta must be a number, got {bad!r}")):
+            Term("z", Normal(0.0, 1.0), bad)
+        with pytest.raises(SpecError, match=re.escape(f"term 'x': beta must be a number, got {bad!r}")):
+            Term("x", Categorical(probs=PROBS), (0.2, bad))
+
+    @pytest.mark.parametrize("block", ["12", "1", 0.2, np.array(0.2)])
+    def test_a_string_or_scalar_where_a_block_goes_is_refused(self, block):
+        # "12" used to become the block (1.0, 2.0)
+        with pytest.raises(SpecError, match="term 'x': categorical covariate needs a coefficient vector"):
+            Term("x", Categorical(probs=PROBS), block)
+
+    def test_numpy_scalar_coefficients_taken_as_floats(self):
+        assert type(Term("z", Normal(0.0, 1.0), np.int64(2)).beta) is float
+        term = Term("x", Categorical(probs=PROBS), (np.float64(0.2), np.int64(-1)))
+        assert term.beta == (0.2, -1.0) and {type(b) for b in term.beta} == {float}
+
+    @pytest.mark.parametrize("sd", ["1", True, None])
+    def test_normal_outcome_sd_a_number(self, sd):
+        # "1" used to raise a bare TypeError
+        with pytest.raises(SpecError, match=f"normal outcome sd must be a number, got {sd!r}"):
+            NormalOutcome(sd)
+
     @pytest.mark.parametrize("sd", [math.nan, math.inf, 0.0, -1.0])
     def test_normal_outcome_sd_positive_and_finite(self, sd):
         with pytest.raises(SpecError, match="normal outcome sd"):
@@ -149,6 +175,17 @@ class TestConstruction:
     def test_non_finite_target(self, target):
         with pytest.raises(SpecError, match="target_mean must be finite"):
             DgpSpec((), Identity(), NormalOutcome(1.0), target)
+
+    @pytest.mark.parametrize("target", ["0.5", True, None], ids=["str", "bool", "none"])
+    def test_non_numeric_target(self, target):
+        # "0.5" used to be taken as 0.5
+        with pytest.raises(SpecError, match=f"target_mean must be a number, got {target!r}"):
+            DgpSpec((), Identity(), NormalOutcome(1.0), target)
+
+    @pytest.mark.parametrize("target", [np.float64(0.25), np.int64(2)])
+    def test_numpy_scalar_target_taken_as_a_float(self, target):
+        dgp = DgpSpec((), Identity(), NormalOutcome(1.0), target)
+        assert dgp.target_mean == target and type(dgp.target_mean) is float
 
 
 class TestOutcomeDraw:
