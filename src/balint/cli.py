@@ -28,7 +28,7 @@ from typing import Optional, Sequence, get_args
 
 import yaml
 
-from .distributions import Categorical, CovariateSpec, RngStream
+from .distributions import Categorical, CovariateSpec, RngStream, check_real
 from .errors import ConfigError, Error
 from .harness import GridConfig, run_grid, summarize, write_csv
 from .intercept import (
@@ -40,7 +40,6 @@ from .intercept import (
     Solver,
     Term,
     expectation_of_mean,
-    moment_mean,
     solve,
 )
 from .links import Link, link_by_name
@@ -62,7 +61,8 @@ VERIFY_GAP_EXIT = 3
 def _num(value, key: str, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key '{key}' in {where} must be a number, got {value!r}")
-    return float(value)
+    # an int is finite unless it is past a double, which check_real refuses without printing it
+    return check_real(value, f"key '{key}' in {where}", ConfigError) if isinstance(value, int) else float(value)
 
 
 def _int(value, key: str, where: str) -> int:
@@ -114,12 +114,24 @@ class _Loader(yaml.SafeLoader):
                     lines[key.tag, key.value] = key.start_mark.line + 1
                 self._refuse_repeated_keys(value, seen)
 
+    def construct_yaml_int(self, node):
+        """safe_load's int, or a ValueError where Python cannot print it (past its 4,300-digit limit).
+
+        A decimal int that long fails in int() already; a hex, octal or base-60
+        one is built without that limit, and would fail in a later message.
+        """
+        return int(str(super().construct_yaml_int(node)))
+
+
+_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
+
 
 def load_config(path: str) -> dict:
     try:
         with open(path, "rb") as f:  # yaml decodes, so a bad byte is a YAMLError
             doc = yaml.load(f, Loader=_Loader)
-    except yaml.YAMLError as e:
+    # a ValueError from a scalar yaml cannot build: an int past the digit limit, a date past its month
+    except (yaml.YAMLError, ValueError) as e:
         raise ConfigError(f"cannot parse {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must contain a mapping at the top level")
@@ -303,9 +315,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     rng = RngStream(parsed.master_seed).child(0)
     sol = solve(parsed.dgp, parsed.solver, engine=parsed.engine, tol=parsed.tol, rng=rng)
     w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(["beta0", "method", "residual", "mc_se", "warnings"])
+    w.writerow(["beta0", "method", "residual", "mc_se", "iterations", "warnings"])
     residual, mc_se = format(sol.residual, ".9g"), format(sol.mc_se, ".9g")
-    w.writerow([repr(sol.beta0), sol.method, residual, mc_se, ";".join(sorted(sol.warnings))])
+    w.writerow([repr(sol.beta0), sol.method, residual, mc_se, sol.iterations, ";".join(sorted(sol.warnings))])
     return 0
 
 
@@ -315,32 +327,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"--beta0 must be finite, got {args.beta0}")
     # exact from the summed link moments where they exist, whatever the engine:
     # a sample's se understates the error where the variance is infinite
-    value, se = moment_mean(args.beta0, parsed.dgp), 0.0
-    if value is None:
-        rng = RngStream(parsed.master_seed).child(1)
-        value, se = expectation_of_mean(args.beta0, parsed.dgp, engine=parsed.engine, rng=rng)
+    rng = RngStream(parsed.master_seed).child(1)
+    value, se = expectation_of_mean(args.beta0, parsed.dgp, parsed.engine, rng, moments=True)
     gap = abs(value - parsed.dgp.target_mean)
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["achieved_mean", "se", "gap"])
     w.writerow([repr(value), format(se, ".9g"), format(gap, ".9g")])
     tol = parsed.engine.tol if parsed.tol is None else parsed.tol
     if not math.isfinite(se):
-        print(f"verification failed: the sample's se is {se}, which bounds no gap", file=sys.stderr)
-        return VERIFY_GAP_EXIT
+        failure = f"the sample's se is {se}, which bounds no gap"
     # a sample's se, unlike enumeration's 0, assumes a finite variance
-    if se > 0.0 and not parsed.dgp.link.finite_variance(parsed.dgp.terms):
-        print(
-            f"verification failed: g^-1(beta0 + eta) has no finite variance under the "
-            f"{parsed.dgp.link.name} link, so the sample's se bounds no gap",
-            file=sys.stderr,
+    elif se > 0.0 and not parsed.dgp.link.finite_variance(parsed.dgp.terms):
+        failure = (
+            f"g^-1(beta0 + eta) has no finite variance under the {parsed.dgp.link.name} link, "
+            "so the sample's se bounds no gap"
         )
-        return VERIFY_GAP_EXIT
-    if gap <= max(tol, 4.0 * se):
+    elif gap <= max(tol, 4.0 * se):
         return 0
-    print(
-        f"verification failed: gap {gap:.6g} exceeds max(tol {tol:g}, 4*se {4 * se:.6g})",
-        file=sys.stderr,
-    )
+    else:
+        failure = f"gap {gap:.6g} exceeds max(tol {tol:g}, 4*se {4 * se:.6g})"
+    print(f"verification failed: {failure}", file=sys.stderr)
     return VERIFY_GAP_EXIT
 
 

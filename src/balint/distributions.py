@@ -205,9 +205,12 @@ def check_real(value, name: str, error: type[SpecError] = SpecError) -> float:
     """
     if not is_real(value):
         raise error(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise error(f"{name} must be finite, got {value}")
-    return float(value)
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer past a double, which the message does not print
+        value = "an integer past a double"
+    raise error(f"{name} must be finite, got {value}")
 
 
 def check_choice(value, choices, what: str, error: type[SpecError] = SpecError):

@@ -37,6 +37,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
+from .errors import SpecError
 from .links import Link
 
 __all__ = [
@@ -58,6 +59,14 @@ HIST_BINS = 4096
 COARSE_RUNS = 64
 INTERVAL_MARGIN = 1e-9
 MAX_SUM = 2.0**1020
+
+
+def allocate(n: int) -> np.ndarray:
+    """np.empty(n) of float64, or a SpecError naming n where numpy cannot allocate it."""
+    try:
+        return np.empty(n)
+    except (ValueError, MemoryError):  # past what numpy can address, or what memory holds
+        raise SpecError(f"cannot allocate an array of {n} float64 values") from None
 
 
 class Workspace(threading.local):
@@ -93,11 +102,11 @@ class Workspace(threading.local):
     @contextmanager
     def borrow(self, n: int) -> Iterator[tuple[np.ndarray, ...]]:
         if self.lent:
-            yield tuple(np.empty(n) for _ in range(3))
+            yield tuple(allocate(n) for _ in range(3))
             return
         if not self.arrays or self.arrays[0].size < n:
             self.arrays = ()  # free the old set before allocating the new one
-            self.arrays = tuple(np.empty(n) for _ in range(3))
+            self.arrays = tuple(allocate(n) for _ in range(3))
         self.lent = True
         try:
             yield tuple(a[:n] for a in self.arrays)

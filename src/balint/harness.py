@@ -23,7 +23,7 @@ import numpy as np
 from .datagen import generate
 from .distributions import CovariateSpec, RngStream, check_choice, check_int, check_real
 from .errors import ConfigError, Error, MgfDomainError, SpecError, UndefinedMomentError
-from .expectation import WORKSPACE
+from .expectation import WORKSPACE, allocate
 from .intercept import (
     DgpSpec,
     Engine,
@@ -135,7 +135,7 @@ def _solve(s: Scenario) -> InterceptSolution:
 def _replicate(s: Scenario, sol: InterceptSolution) -> ScenarioResult:
     n = s.n
     rows = max(1, min(s.replicates, BLOCK_ELEMENTS // n))
-    means = np.empty(s.replicates)
+    means = allocate(s.replicates)
     clamped = 0
     with WORKSPACE.borrow(rows * n) as work:
         for k in range(0, s.replicates, rows):

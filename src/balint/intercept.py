@@ -17,8 +17,10 @@ its target:
                         form. Monotone because g^-1 is strictly increasing.
 
 The link (links.py) owns its domain, the moment of eta it balances and the
-exact mean those moments give; moment_mean sums the moments, for the linear
-scale's residual and for verification, where the link has them (identity, log).
+exact mean those moments give. expectation_of_mean is the one evaluator of
+E[g^-1(beta0 + eta)] outside the bisection: the summed moments where asked
+for and the link has them (identity, log), else the engine's mean and se. The
+linear scale's residual and verification both take it.
 
 The numeric route's engine owns its name, its default tol and
 expectation(dgp, rng), a context manager yielding b0 -> E[g^-1(b0 + eta)]:
@@ -39,7 +41,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import ContextManager, Iterator, Literal, Optional, Sequence, Union, get_args
+from typing import Iterator, Literal, Optional, Sequence, Union, get_args
 
 import numpy as np
 
@@ -73,7 +75,6 @@ __all__ = [
     "InterceptSolution",
     "solve_linear_scale",
     "solve_log_closed_form",
-    "moment_mean",
     "expectation_of_mean",
     "solve_numeric",
     "solve",
@@ -389,27 +390,17 @@ class InterceptSolution:
     warnings: frozenset[str] = frozenset()
 
 
-def moment_mean(beta0: float, dgp: DgpSpec) -> Optional[float]:
-    """E[g^-1(beta0 + eta)] from the terms' summed Link.moment, exact to rounding.
-
-    None under logit or where the moments' sum is not finite; raises by term name where one does not exist.
-    """
-    moments = [dgp.link.moment(term) for term in dgp.terms]
-    if None in moments:
-        return None
-    total = 0.0
-    for moment in moments:
-        total += moment
-    return dgp.link.exact_mean(beta0 + total) if math.isfinite(total) else None
-
-
 def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
     """beta0 = g(target) - sum_j beta_j E(X_j), on the linear predictor scale.
 
     Exact for the identity link. For log/logit the same arithmetic is the
     naive approximation that ignores E[g^-1(...)] != g^-1(E[...]); it is
-    returned for comparison purposes with a 'naive_linear_scale' warning and
-    its true residual where that is tractable (moment_mean, else enumeration).
+    returned for comparison purposes with a 'naive_linear_scale' warning.
+    The residual comes from expectation_of_mean: under log from the summed
+    exponential moments, which did not make beta0, else by enumeration;
+    under logit by enumeration; under identity by enumeration alone, since
+    the summed means made beta0 and would check only rounding. Where no
+    route applies (a continuous term) it is nan with 'residual_unverified'.
     """
     g = dgp.link.apply(dgp.target_mean)
     s = 0.0
@@ -418,15 +409,12 @@ def solve_linear_scale(dgp: DgpSpec) -> InterceptSolution:
     beta0 = g - s
     warnings = set() if dgp.link.linear else {"naive_linear_scale"}
     try:
-        value = moment_mean(beta0, dgp)
+        value, _ = expectation_of_mean(beta0, dgp, moments=not dgp.link.linear)
     except MgfDomainError:
         value = math.inf  # a divergent moment
-    if value is None:
-        try:
-            value, _ = expectation_of_mean(beta0, dgp, ExactEnumeration())
-        except EngineMismatchError:
-            value = math.nan
-            warnings.add("residual_unverified")
+    except EngineMismatchError:
+        value = math.nan
+        warnings.add("residual_unverified")
     return InterceptSolution(
         beta0=beta0,
         method="linear_scale",
@@ -467,30 +455,31 @@ def solve_log_closed_form(dgp: DgpSpec) -> InterceptSolution:
     )
 
 
-def _expectation(
-    dgp: DgpSpec, engine: Engine, rng: Optional[RngStream]
-) -> ContextManager[Expectation]:
-    """b0 -> E[g^-1(b0 + eta)] under the engine, as a context manager.
-
-    Raises first, by term name, where a term's Link.moment does not exist:
-    a sample would estimate nothing.
-    """
-    for term in dgp.terms:
-        dgp.link.moment(term)
-    return engine.expectation(dgp, rng)
-
-
 def expectation_of_mean(
     beta0: float,
     dgp: DgpSpec,
     engine: Engine = ExactEnumeration(),
     rng: Optional[RngStream] = None,
+    moments: bool = False,
 ) -> tuple[float, float]:
-    """(E[g^-1(beta0 + eta)], standard error); se is 0 on the exact path.
+    """(E[g^-1(beta0 + eta)], standard error): the one evaluator of the population mean.
 
-    Refuses a term whose moment does not exist as solve_numeric does.
+    A term whose Link.moment does not exist is refused first, by name, as
+    solve_numeric refuses it: a sample would estimate nothing. With moments,
+    the mean is the link's exact_mean of beta0 plus the terms' summed
+    Link.moment, with se 0, exact to rounding, where the link has moments
+    (identity, log) and their sum is finite. Otherwise it is the engine's
+    mean and se (se 0 under enumeration).
     """
-    with _expectation(dgp, engine, rng) as expectation:
+    term_moments = [dgp.link.moment(term) for term in dgp.terms]
+    if moments and None not in term_moments:
+        total = 0.0
+        for moment in term_moments:
+            total += moment
+        value = dgp.link.exact_mean(beta0 + total) if math.isfinite(total) else None
+        if value is not None:
+            return value, 0.0
+    with engine.expectation(dgp, rng) as expectation:
         return expectation.mean(beta0), expectation.se(beta0)
 
 
@@ -533,7 +522,9 @@ def solve_numeric(
         tol = engine.tol
     if not 0.0 < tol < math.inf:
         raise SpecError(f"tol must be positive and finite, got {tol}")
-    with _expectation(dgp, engine, rng) as expectation:
+    for term in dgp.terms:
+        dgp.link.moment(term)
+    with engine.expectation(dgp, rng) as expectation:
         solution = _bisect(expectation, dgp.link, dgp.target_mean, tol)
     if solution.mc_se > 0.0 and not dgp.link.finite_variance(dgp.terms):
         return replace(solution, warnings=solution.warnings | {"infinite_variance"})

@@ -40,6 +40,7 @@ from balint import (
     Term,
     UniformContinuous,
     expand_grid,
+    solve,
 )
 from balint.cli import (
     DgpDocument,
@@ -604,11 +605,20 @@ class TestBundledConfigs:
 class TestSolveCommand:
     def test_closed_form_full_precision(self, capsys, dgp_config):
         row = solve_row(capsys, ["solve", "--config", dgp_config])
-        assert set(row) == {"beta0", "method", "residual", "mc_se", "warnings"}
+        assert list(row) == ["beta0", "method", "residual", "mc_se", "iterations", "warnings"]
         assert float(row["beta0"]) == pytest.approx(LOG_BETA0, abs=1e-15)
         assert row["method"] == "log_closed_form"
         assert float(row["residual"]) <= 1e-14
+        assert row["iterations"] == "0"
         assert row["warnings"] == ""
+
+    def test_numeric_prints_its_iterations(self, capsys, tmp_path):
+        path = tmp_path / "numeric.yaml"
+        path.write_text(DGP_DOC.replace("solver: log_closed_form", "solver: numeric"))
+        row = solve_row(capsys, ["solve", "--config", str(path)])
+        sol = solve(parse_dgp_config(load_config(str(path))).dgp, "numeric")
+        assert sol.iterations > 0
+        assert row["iterations"] == str(sol.iterations)
 
     def test_seed_changes_monte_carlo_solution(self, capsys, tmp_path):
         path = tmp_path / "mc.yaml"
@@ -1269,6 +1279,85 @@ class TestExitCodes:
         assert main([command, "--config", str(path), *extra, *out]) == code
         assert [e.exit_code for e in raised] == ([] if code in (0, 3) else [code])
         assert "Traceback" not in capsys.readouterr().err
+
+
+# a hex int is built without Python's 4,300-digit limit, and could not be printed after
+HUGE = {"int": "1" + "0" * 400, "digits": "1" * 5000, "hex": "0x" + "f" * 5000}
+HUGE_NUMBER_DOC = DGP_DOC.replace(
+    "betas: [0.2, -0.2]}", "betas: [0.2, -0.2]}\n  - {name: z, dist: normal, mu: 0.0, sigma: 1.0, beta: HUGE}"
+)
+# 2^62 float64 values, which numpy refuses before allocating anything
+TOO_BIG = str(2**62)
+LOGIT_MC_DOC = (
+    DGP_DOC.replace("link: log", "link: logit").replace("solver: log_closed_form", "solver: numeric")
+    + f"engine: mc\nn_mc: {TOO_BIG}\n"
+)
+ONE_CELL_GRID_DOC = (
+    GRID_DOC.replace("  - {name: z, dist: normal, mu: 0.0, sigma: 1.0}\n", "")
+    .replace("target_axis: [0.3, 0.5]", "target_axis: [0.3]")
+)
+
+
+class TestNumbersPastTheirRange:
+    """A number past a double, past Python's digit limit or past what numpy allocates exits 1, no traceback."""
+
+    @pytest.mark.parametrize(
+        "command,doc,extra,message",
+        [
+            ("solve", HUGE_NUMBER_DOC.replace("HUGE", HUGE["int"]), [], "must be finite, got an integer past a double"),
+            ("verify", HUGE_NUMBER_DOC.replace("HUGE", HUGE["int"]), ["--beta0", "0.0"], "must be finite"),
+            ("solve", HUGE_NUMBER_DOC.replace("HUGE", HUGE["digits"]), [], "cannot parse"),
+            ("solve", HUGE_NUMBER_DOC.replace("HUGE", HUGE["hex"]), [], "cannot parse"),
+            ("solve", HUGE_NUMBER_DOC.replace("beta: HUGE", "beta: 2001-02-30"), [], "cannot parse"),
+            (
+                "simulate",
+                GRID_DOC.replace("beta2_axis: [1.0]", f"beta2_axis: [1.0, {HUGE['int']}]"),
+                [],
+                "key 'beta2_axis' in grid config must be finite, got an integer past a double",
+            ),
+            ("solve", LOGIT_MC_DOC, [], f"cannot allocate an array of {TOO_BIG} float64 values"),
+            ("verify", LOGIT_MC_DOC, ["--beta0", "0.0"], f"cannot allocate an array of {TOO_BIG} float64 values"),
+        ],
+        ids=[
+            "solve-int-past-a-double",
+            "verify-int-past-a-double",
+            "solve-int-past-the-digit-limit",
+            "solve-hex-int-past-the-digit-limit",
+            "solve-date-past-its-month",
+            "simulate-beta2-past-a-double",
+            "solve-n-mc-past-numpy",
+            "verify-n-mc-past-numpy",
+        ],
+    )
+    def test_exits_1(self, capsys, tmp_path, command, doc, extra, message):
+        path = tmp_path / "config.yaml"
+        path.write_text(doc)
+        out = tmp_path / "rows.csv"
+        extra = [*extra, "--out", str(out)] if command == "simulate" else extra
+        assert main([command, "--config", str(path), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_n_mc_flag_past_numpy(self, capsys, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text(LOGIT_MC_DOC.replace(f"n_mc: {TOO_BIG}", "n_mc: 1000"))
+        assert main(["solve", "--config", str(path), "--n-mc", TOO_BIG]) == 1
+        assert f"cannot allocate an array of {TOO_BIG}" in capsys.readouterr().err
+
+    def test_grid_cell_past_numpy_is_an_error_row(self, capsys, tmp_path):
+        path = tmp_path / "grid.yaml"
+        path.write_text(ONE_CELL_GRID_DOC.replace("n: 100", f"n: {TOO_BIG}"))
+        out = tmp_path / "rows.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "0 cells run, 0 skipped, 1 failed" in err
+        assert "Traceback" not in err
+        (row,) = csv.DictReader(io.StringIO(out.read_text()))
+        assert row["status"] == "error"
+        assert row["warnings"] == f"SpecError: cannot allocate an array of {TOO_BIG} float64 values"
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

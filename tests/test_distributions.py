@@ -251,7 +251,9 @@ class TestSampling:
         with pytest.raises(SpecError):
             build()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, -(10**400)], ids=["nan", "inf", "-inf", "int-past-a-double"]
+    )
     @pytest.mark.parametrize(
         "cls, params",
         [

@@ -387,8 +387,13 @@ class TestGridValidation:
     @pytest.mark.parametrize("axis", ["beta2_axis", "target_axis"])
     @pytest.mark.parametrize(
         "bad, message",
-        [(math.nan, "must be finite, got nan"), ("0.5", "must be a number, got '0.5'"), (True, "must be a number")],
-        ids=["nan", "str", "bool"],
+        [
+            (math.nan, "must be finite, got nan"),
+            (10**400, "must be finite, got an integer past a double"),
+            ("0.5", "must be a number, got '0.5'"),
+            (True, "must be a number"),
+        ],
+        ids=["nan", "int-past-a-double", "str", "bool"],
     )
     def test_axis_value_not_a_finite_number(self, axis, bad, message):
         # a string used to raise a bare TypeError, and True was taken as 1.0

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import balint.expectation as expectation_mod
 import balint.intercept as intercept_mod
-from balint.intercept import DEFAULT_TOL_MC, moment_mean
+from balint.intercept import DEFAULT_TOL_MC
 from balint import (
     Bernoulli,
     BernoulliOutcome,
@@ -94,7 +94,9 @@ class TestConstruction:
         with pytest.raises(SpecError):
             Term("x", Categorical(probs=PROBS), (0.1, 0.2, 0.3))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "int-past-a-double"]
+    )
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(SpecError, match="term 'z': beta must be finite"):
             Term("z", Normal(0.0, 1.0), bad)
@@ -403,6 +405,29 @@ class TestLinearScale:
         with pytest.raises(UndefinedMomentError, match="term 'c'"):
             solve_linear_scale(dgp)
 
+    def test_identity_continuous_residual_unverified(self):
+        # the summed means made beta0, so they cannot check it, and a
+        # continuous term cannot be enumerated
+        terms = (
+            Term("z", Normal(0.3, 1.7), 2.5),
+            Term("u", UniformContinuous(-1.0, 3.0), -0.7),
+            Term("g", Gamma(2.0, 1.5), 0.4),
+        )
+        sol = solve_linear_scale(DgpSpec(terms, Identity(), NormalOutcome(1.0), 0.37))
+        assert sol.beta0 == 0.37 - (2.5 * 0.3 - 0.7 * 1.0 + 0.4 * (2.0 / 1.5))
+        assert math.isnan(sol.residual)
+        assert sol.warnings == frozenset({"residual_unverified"})
+
+    def test_identity_finite_residual_is_enumerated(self):
+        dgp = DgpSpec(
+            (Term("d", Bernoulli(0.8), 0.3), CAT_TERM), Identity(), NormalOutcome(1.0), 0.7
+        )
+        sol = solve_linear_scale(dgp)
+        value, se = expectation_of_mean(sol.beta0, dgp)
+        assert se == 0.0
+        assert sol.residual == abs(value - 0.7)
+        assert sol.warnings == frozenset()
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_finite_support_dgps())
     def test_moment_residual_equals_enumeration(self, dgp):
@@ -413,13 +438,16 @@ class TestLinearScale:
         assert sol.residual == pytest.approx(abs(value - dgp.target_mean), rel=1e-12, abs=1e-12)
 
 
-class TestMomentMean:
-    """The mean from the summed link moments, or None where a double cannot hold them."""
+class TestExpectationOfMeanByMoments:
+    """expectation_of_mean(..., moments=True): the summed link moments with se 0, else the engine."""
 
     def test_log_and_identity_give_the_exact_mean(self):
-        assert moment_mean(LOG_BETA0, cat_dgp()) == pytest.approx(0.5, rel=1e-15)
+        value, se = expectation_of_mean(LOG_BETA0, cat_dgp(), moments=True)
+        assert (value, se) == (pytest.approx(0.5, rel=1e-15), 0.0)
+        # enumeration refuses a continuous term, so only the moments give this
         z = Term("z", Normal(0.3, 1.0), 2.0)
-        assert moment_mean(-0.1, DgpSpec((z,), Identity(), NormalOutcome(0.1), 0.5)) == -0.1 + 0.6
+        dgp = DgpSpec((z,), Identity(), NormalOutcome(0.1), 0.5)
+        assert expectation_of_mean(-0.1, dgp, moments=True) == (-0.1 + 0.6, 0.0)
 
     @pytest.mark.parametrize(
         "link, terms",
@@ -432,13 +460,21 @@ class TestMomentMean:
         ],
         ids=["log-overflow", "log-underflow", "identity-overflow", "identity-underflow", "identity-sum"],
     )
-    def test_moments_past_a_double_give_none(self, link, terms):
-        assert moment_mean(0.0, DgpSpec(terms, link, NormalOutcome(0.1), 0.5)) is None
+    def test_moments_past_a_double_fall_through_to_the_engine(self, link, terms):
+        # finite terms get the engine's own value, continuous ones its refusal
+        dgp = DgpSpec(terms, link, NormalOutcome(0.1), 0.5)
+        if link == Log():
+            assert expectation_of_mean(0.0, dgp, moments=True) == expectation_of_mean(0.0, dgp)
+        else:
+            with pytest.raises(EngineMismatchError, match="continuous"):
+                expectation_of_mean(0.0, dgp, moments=True)
 
-    def test_logit_gives_none(self):
-        assert moment_mean(0.0, cat_dgp(link=Logit())) is None
-        # with no terms the loop sees no moment, and the link's exact_mean answers
-        assert moment_mean(0.0, DgpSpec((), Logit(), NormalOutcome(0.1), 0.5)) is None
+    def test_logit_falls_through_to_the_engine(self):
+        dgp = cat_dgp(link=Logit())
+        assert expectation_of_mean(0.0, dgp, moments=True) == expectation_of_mean(0.0, dgp)
+        # with no terms the list holds no moment, and the link's exact_mean has none either
+        dgp = DgpSpec((), Logit(), NormalOutcome(0.1), 0.5)
+        assert expectation_of_mean(0.0, dgp, moments=True) == (0.5, 0.0)
 
 
 class TestLogClosedForm:
@@ -922,7 +958,7 @@ class TestMonteCarloAgainstMoments:
         dgp, rng = case
         engine = MonteCarlo(20_000)
         try:
-            moment_mean(0.0, dgp)
+            expectation_of_mean(0.0, dgp, moments=True)
         except (UndefinedMomentError, MgfDomainError):
             # no balancing intercept: refused by term name before drawing
             with pytest.raises(InfeasibleError, match="term 'x"):
@@ -933,8 +969,8 @@ class TestMonteCarloAgainstMoments:
             assert "infinite_variance" in sol.warnings
             return
         assert "infinite_variance" not in sol.warnings
-        value = moment_mean(sol.beta0, dgp)
-        assert value is not None
+        value, se = expectation_of_mean(sol.beta0, dgp, moments=True)
+        assert se == 0.0
         assert abs(value - dgp.target_mean) <= engine.tol + 4.0 * sol.mc_se
 
 
